@@ -59,16 +59,7 @@ from .measures import (
     score,
     standard_gaussian,
 )
-from .numerics import (
-    OdeConfig,
-    QuadratureRule,
-    Trajectory,
-    find_root_bisect,
-    finite_diff_second,
-    integrate_ode,
-    quadrature_integrate,
-    tilted_quadrature_moments,
-)
+from .numerics import find_root_bisect, finite_diff_second
 from .structure import (
     Decomposition,
     Infeasible,

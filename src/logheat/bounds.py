@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, ValidationError
 from .measures import GaussianMixture, _logsumexp
@@ -127,6 +126,8 @@ def integrated_ou_upper_numeric(
     (with tau = u^2 to remove the endpoint singularity) and adds the analytic
     O(1/tau) tail.  Returns (value, tail_term).
     """
+    from scipy.integrate import quad
+
     if not alpha > 0:
         raise DomainError("alpha must be positive")
 

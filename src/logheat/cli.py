@@ -48,20 +48,6 @@ _NUMERICAL_EXIT = 3
 _FMT = "%.17g"
 
 
-def worker_count() -> int:
-    """Worker cap from LOGHEAT_THREADS (default: all CPUs)."""
-    env = os.environ.get("LOGHEAT_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"LOGHEAT_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ValidationError("LOGHEAT_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import SearchError, ValidationError
 from .heatflow import log_hessian_heat, tilted_moments
@@ -179,6 +178,8 @@ def two_atom_analysis(x0: float, w0: float, w1: float, t: float) -> TwoAtomRepor
     equals (1/t)(1 - x0^2/(4t)) independently of the weights.  The grid
     minimum is taken over z in [-2|x0|, 3|x0|] and then refined locally.
     """
+    from scipy.optimize import minimize_scalar
+
     if x0 == 0:
         raise ValidationError("x0 must be nonzero")
     if not (w0 > 0 and w1 > 0 and t > 0):

@@ -1,8 +1,11 @@
 """Heat and Ornstein-Uhlenbeck semigroup quantities.
 
-Tilted measures and their moments, log-Hessians of Gaussian convolutions via
-the covariance representation, OU log-derivatives via the heat
-reparametrization, and the 1D quadratic Wasserstein distance.
+Everything here derives from one batched primitive per measure family,
+``_tilt(measure, zs, t)``: the log-mass, mean and covariance of mu_{z,t}, the
+measure mu reweighted by the Gaussian kernel N(z, t I), at each row z of zs.
+The log-Hessian of mu * gamma_t is (1/t)(I - Cov(mu_{z,t})/t), and the OU
+marginal at time t is the dilated base smoothed to variance 1 - e^{-2t}.
+The module also holds the 1D quadratic Wasserstein distance.
 """
 from __future__ import annotations
 
@@ -48,128 +51,129 @@ class TiltedMoments:
     covariance: np.ndarray
     mass_log: float
 
-    def __post_init__(self) -> None:
-        cov = np.asarray(self.covariance, dtype=float)
-        if np.max(np.abs(cov - cov.T)) > 1e-12 * (1.0 + np.max(np.abs(cov))):
-            raise NumericalError("tilted covariance is not symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
-            raise NumericalError("tilted covariance has a negative eigenvalue")
+
+# ---------------------------------------------------------------------------
+# the batched tilt kernels: (log_mass (n,), mean (n, d), cov (n, d, d))
+# ---------------------------------------------------------------------------
+
+def _tilt_mixture(mu: GaussianMixture, zs: np.ndarray, t: float):
+    """Component k tilts to N(m~_k, s~_k I) with posterior weight pi_k; the
+    covariance is pooled about the tilted mean."""
+    s = mu.variances
+    st = s + t
+    diff = zs[:, None, :] - mu.means[None, :, :]  # (n, k, d)
+    logc = (
+        np.log(mu.weights)
+        - 0.5 * mu.dim * (_LOG_2PI + np.log(st))
+        - 0.5 * np.sum(diff * diff, axis=2) / st
+    )
+    log_mass = _logsumexp(logc, axis=1)
+    pi = np.exp(logc - log_mass[:, None])
+    m_tilde = mu.means[None, :, :] + (s / st)[None, :, None] * diff
+    mean = np.einsum("nk,nki->ni", pi, m_tilde)
+    c = m_tilde - mean[:, None, :]
+    cov = np.einsum("nk,nki,nkj->nij", pi, c, c)
+    cov += (pi @ (s * t / st))[:, None, None] * np.eye(mu.dim)
+    return log_mass, mean, cov
 
 
-def _check_point(measure, z) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.size != measure.dim:
-        raise ValidationError(f"point has size {z.size}, expected dim {measure.dim}")
+def _tilt_atoms(mu, zs: np.ndarray, t: float):
+    """Atoms keep their locations; the tilt only reweights them."""
+    locs = mu.locations.reshape(mu.log_weights.size, mu.dim)
+    with np.errstate(over="ignore"):
+        l = mu.log_weights + (zs @ locs.T) / t - 0.5 * np.sum(locs * locs, axis=1) / t
+        zz = np.sum(zs * zs, axis=1)
+    if not (np.all(np.isfinite(l)) and np.all(np.isfinite(zz))):
+        raise NumericalError("tilted atom weights are non-finite; recenter z before tilting")
+    lse = _logsumexp(l, axis=1)
+    pi = np.exp(l - lse[:, None])
+    mean = pi @ locs
+    c = locs[None, :, :] - mean[:, None, :]
+    cov = np.einsum("nk,nki,nkj->nij", pi, c, c)
+    log_mass = lse - 0.5 * mu.dim * (_LOG_2PI + math.log(t)) - zz / (2.0 * t)
+    return log_mass, mean, cov
+
+
+def _tilt_perturbed(pm: PerturbedLogConcave1D, zs: np.ndarray, t: float):
+    """Closed-form truncated-Gaussian moments on each panel of the density."""
+    z = zs[:, 0]
+    B = z[:, None] / t - pm.panel_b[None, :]
+    A = -pm.panel_a[None, :] - (z * z)[:, None] / (2.0 * t)
+    log_mass, mean, var = _panel_moments(pm.alpha + 1.0 / t, B, A, pm.panel_edges)
+    log_mass = log_mass - 0.5 * (_LOG_2PI + math.log(t)) - pm.log_normalizer
+    return log_mass, mean[:, None], var[:, None, None]
+
+
+_TILT = {
+    GaussianMixture: _tilt_mixture,
+    AtomicMeasure: _tilt_atoms,
+    CounterexampleMeasure: _tilt_atoms,
+    PerturbedLogConcave1D: _tilt_perturbed,
+}
+
+
+def _tilt(measure, zs: np.ndarray, t: float):
+    """(log_mass, mean, cov) of mu_{z,t} at each row of zs, shape (n, dim)."""
+    if not t > 0:
+        raise ValidationError("t must be positive")
+    kernel = _TILT.get(type(measure))
+    if kernel is None:
+        raise CapabilityError(f"no tilted moments for {type(measure).__name__}")
+    log_mass, mean, cov = kernel(measure, zs, t)
+    return log_mass, mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
+
+
+def _points(measure, x) -> tuple[np.ndarray, bool]:
+    """x as a batch of shape (n, dim), and whether it was a single point
+    (shape (dim,), or a scalar in 1D)."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim <= 1
+    zs = x.reshape(1, -1) if single else x
+    if zs.ndim != 2 or zs.shape[1] != measure.dim:
+        raise ValidationError(f"points have shape {x.shape}, expected dim {measure.dim}")
+    return zs, single
+
+
+def _point(measure, z) -> np.ndarray:
+    """One point as a batch of shape (1, dim)."""
+    z = np.asarray(z, dtype=float).reshape(1, -1)
+    if z.shape[1] != measure.dim:
+        raise ValidationError(f"point has size {z.shape[1]}, expected dim {measure.dim}")
     return z
 
 
 def tilted_moments(measure, z, t: float) -> TiltedMoments:
     """Mean/covariance of mu_{z,t}; exact for mixtures and atoms, panel-exact
     for perturbed 1D densities."""
-    if not t > 0:
-        raise ValidationError("t must be positive")
-    z = _check_point(measure, z)
-    d = measure.dim
-
-    if isinstance(measure, GaussianMixture):
-        s = measure.variances
-        st = s + t
-        s_tilde = s * t / st
-        m_tilde = (t * measure.means + s[:, None] * z[None, :]) / st[:, None]
-        diff = z[None, :] - measure.means
-        logc = (
-            np.log(measure.weights)
-            - 0.5 * d * (_LOG_2PI + np.log(st))
-            - 0.5 * np.sum(diff * diff, axis=1) / st
-        )
-        mass_log = _logsumexp(logc)
-        pi = np.exp(logc - mass_log)
-        mean = pi @ m_tilde
-        cov = np.eye(d) * float(np.dot(pi, s_tilde))
-        cov += np.einsum("k,ki,kj->ij", pi, m_tilde, m_tilde)
-        cov -= np.outer(mean, mean)
-        return TiltedMoments(mean=mean, covariance=_sym(cov), mass_log=float(mass_log))
-
-    if isinstance(measure, (AtomicMeasure, CounterexampleMeasure)):
-        if isinstance(measure, AtomicMeasure):
-            locs = measure.locations
-            lw = measure.log_weights
-        else:
-            locs = measure.locations[:, None]
-            lw = measure.log_weights
-        with np.errstate(over="ignore"):
-            l = lw + (locs @ z) / t - 0.5 * np.sum(locs * locs, axis=1) / t
-            zz = float(z @ z)
-        if not (np.all(np.isfinite(l)) and np.isfinite(zz)):
-            raise NumericalError(
-                "tilted atom weights are non-finite; recenter z before tilting"
-            )
-        lse = _logsumexp(l)
-        pi = np.exp(l - lse)
-        mean = pi @ locs
-        centered = locs - mean[None, :]
-        cov = np.einsum("k,ki,kj->ij", pi, centered, centered)
-        mass_log = lse - 0.5 * d * (_LOG_2PI + math.log(t)) - zz / (2.0 * t)
-        return TiltedMoments(mean=mean, covariance=_sym(cov), mass_log=float(mass_log))
-
-    if isinstance(measure, PerturbedLogConcave1D):
-        mass_log, mean, var = _perturbed_tilted_1d(measure, np.array([z[0]]), t)
-        return TiltedMoments(
-            mean=np.array([mean[0]]),
-            covariance=np.array([[max(var[0], 0.0)]]),
-            mass_log=float(mass_log[0]),
-        )
-
-    raise CapabilityError(f"no tilted moments for {type(measure).__name__}")
+    log_mass, mean, cov = _tilt(measure, _point(measure, z), t)
+    return TiltedMoments(mean=mean[0], covariance=cov[0], mass_log=float(log_mass[0]))
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+def tilted_log_mass(measure, z, t: float):
+    """log((mu * gamma_t)(z)); density oracle for convolutions.
 
-
-def _perturbed_tilted_1d(pm: PerturbedLogConcave1D, zs: np.ndarray, t: float):
-    """Vectorized tilted (log-mass, mean, var) of a perturbed density against
-    N(z, t); log-mass is log((mu * gamma_t)(z))."""
-    zs = np.asarray(zs, dtype=float)
-    C = pm.alpha + 1.0 / t
-    B = zs[:, None] / t - pm.panel_b[None, :]
-    A = -pm.panel_a[None, :] - (zs * zs)[:, None] / (2.0 * t)
-    log_mass, mean, var = _panel_moments(C, B, A, pm.panel_edges)
-    log_mass = log_mass - 0.5 * (_LOG_2PI + math.log(t)) - pm.log_normalizer
-    return log_mass, mean, var
-
-
-def tilted_log_mass(measure, z, t: float) -> float:
-    """log((mu * gamma_t)(z)); density oracle for convolutions."""
-    return tilted_moments(measure, z, t).mass_log
+    ``z`` is one point (a float is returned) or a batch of shape (n, dim).
+    """
+    zs, single = _points(measure, z)
+    log_mass = _tilt(measure, zs, t)[0]
+    return float(log_mass[0]) if single else log_mass
 
 
 def log_hessian_heat(measure, z, t: float) -> np.ndarray:
     """-Hess log(mu * gamma_t)(z) via (1/t)(I - Cov(mu_{z,t})/t)."""
-    z = _check_point(measure, z)
-    tm = tilted_moments(measure, z, t)
-    d = measure.dim
-    out = (np.eye(d) - tm.covariance / t) / t
-    if isinstance(measure, GaussianMixture):
-        direct = -ms.log_hessian(ms.convolve_gaussian(measure, t), z)
-        if np.max(np.abs(out - direct)) > 1e-8 * (1.0 + np.max(np.abs(direct))):
-            raise NumericalError(
-                "covariance representation disagrees with the analytic Hessian"
-            )
-    return _sym(out)
+    cov = _tilt(measure, _point(measure, z), t)[2][0]
+    return (np.eye(measure.dim) - cov / t) / t
 
 
 # ---------------------------------------------------------------------------
 # Ornstein-Uhlenbeck semigroup
 # ---------------------------------------------------------------------------
 
-def _ou_parts(measure, t: float):
-    """OU marginal at time t as (dilated base) * gamma_v with v = 1-e^{-2t}."""
-    if not t > 0:
-        raise ValidationError("t must be positive")
-    c = math.exp(-t)
+def _ou_tilt(measure, t: float, xs: np.ndarray):
+    """OU marginal at time t as (dilated base) * gamma_v with v = 1-e^{-2t}:
+    the tilt of the dilated base at xs, and v."""
     v = -math.expm1(-2.0 * t)
-    return ms.dilate(measure, c), v
+    return _tilt(ms.dilate(measure, math.exp(-t)), xs, v), v
 
 
 def ou_log_derivatives(measure, t: float, x):
@@ -177,26 +181,19 @@ def ou_log_derivatives(measure, t: float, x):
 
     Computed through the OU marginal mu_t = (dilated mu) * gamma_{1-e^{-2t}}:
     value = log mu_t(x) - log gamma(x), and the derivatives add the Gaussian
-    reference terms (+x to the score, +I to the Hessian).
+    reference terms (+x to the score, +I to the Hessian).  ``x`` of shape
+    (dim,) gives (float, (dim,), (dim, dim)); a batch of shape (n, dim) gives
+    (n,), (n, dim) and (n, dim, dim) arrays.
     """
-    x = _check_point(measure, x)
-    base, v = _ou_parts(measure, t)
-    d = measure.dim
-    if isinstance(base, (GaussianMixture, AtomicMeasure)):
-        marg = ms.convolve_gaussian(base, v)
-        logpdf = ms.log_density(marg, x)
-        sc = ms.score(marg, x)
-        hess = ms.log_hessian(marg, x)
-    else:
-        tm = tilted_moments(base, x, v)
-        logpdf = tm.mass_log
-        sc = (tm.mean - x) / v
-        hess = (tm.covariance / v - np.eye(d)) / v
-    log_gamma = -0.5 * d * _LOG_2PI - 0.5 * float(x @ x)
-    value = logpdf - log_gamma
-    gradient = sc + x
-    hessian = _sym(hess + np.eye(d))
-    return float(value), gradient, hessian
+    xs, single = _points(measure, x)
+    (log_mass, mean, cov), v = _ou_tilt(measure, t, xs)
+    eye = np.eye(measure.dim)
+    value = log_mass + 0.5 * measure.dim * _LOG_2PI + 0.5 * np.sum(xs * xs, axis=1)
+    gradient = (mean - xs) / v + xs
+    hessian = (cov / v - eye) / v + eye
+    if single:
+        return float(value[0]), gradient[0], hessian[0]
+    return value, gradient, hessian
 
 
 def marginal_stats_1d(measure, t: float, xs: np.ndarray):
@@ -205,42 +202,8 @@ def marginal_stats_1d(measure, t: float, xs: np.ndarray):
     1D only; used by the transport module for flow integration.
     """
     xs = np.asarray(xs, dtype=float)
-    base, v = _ou_parts(measure, t)
-    if isinstance(base, GaussianMixture):
-        marg = ms.convolve_gaussian(base, v)
-        m = marg.means[:, 0]
-        s = marg.variances
-        lw = (
-            np.log(marg.weights)[None, :]
-            - 0.5 * (_LOG_2PI + np.log(s))[None, :]
-            - 0.5 * (xs[:, None] - m[None, :]) ** 2 / s[None, :]
-        )
-        lse = _logsumexp(lw, axis=1)
-        pi = np.exp(lw - lse[:, None])
-        g = -(xs[:, None] - m[None, :]) / s[None, :]
-        sc = np.sum(pi * g, axis=1)
-        hess = np.sum(pi * (-1.0 / s[None, :] + g * g), axis=1) - sc * sc
-        return lse, sc, hess
-    if isinstance(base, AtomicMeasure):
-        locs, lw0 = _atom_data_1d(base)
-        lw = (
-            lw0[None, :]
-            - 0.5 * (_LOG_2PI + math.log(v))
-            - 0.5 * (xs[:, None] - locs[None, :]) ** 2 / v
-        )
-        lse = _logsumexp(lw, axis=1)
-        pi = np.exp(lw - lse[:, None])
-        mean = np.sum(pi * locs[None, :], axis=1)
-        var = np.sum(pi * (locs[None, :] - mean[:, None]) ** 2, axis=1)
-        sc = (mean - xs) / v
-        hess = (var / v - 1.0) / v
-        return lse, sc, hess
-    if isinstance(base, PerturbedLogConcave1D):
-        log_mass, mean, var = _perturbed_tilted_1d(base, xs, v)
-        sc = (mean - xs) / v
-        hess = (var / v - 1.0) / v
-        return log_mass, sc, hess
-    raise CapabilityError(f"no OU marginal stats for {type(base).__name__}")
+    (log_mass, mean, cov), v = _ou_tilt(measure, t, _points(measure, xs[:, None])[0])
+    return log_mass, (mean[:, 0] - xs) / v, (cov[:, 0, 0] / v - 1.0) / v
 
 
 # ---------------------------------------------------------------------------

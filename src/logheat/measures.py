@@ -127,7 +127,7 @@ def _panel_moments(C, B, A, edges):
     var_p = np.where(keep, np.maximum(var_p, 0.0), 0.0)
     total_log = np.squeeze(M, axis=-1) + np.log(W)
     mean = np.sum(pi * mean_p, axis=-1)
-    var = np.sum(pi * (var_p + mean_p**2), axis=-1) - mean**2
+    var = np.sum(pi * (var_p + (mean_p - mean[..., None]) ** 2), axis=-1)
     return total_log, mean, np.maximum(var, 0.0)
 
 
@@ -486,6 +486,7 @@ class ConvolvedDensity1D:
         self.dim = 1
 
     def log_pdf(self, z):
+        """Log-density at one point, or at each row of a batch of shape (n, 1)."""
         from .heatflow import tilted_log_mass
 
         return tilted_log_mass(self.base, z, self.t)

@@ -1,81 +1,22 @@
 """Deterministic numerical kernels.
 
-Quadrature on the real line against a Gaussian reference weight, bracketed
-bisection, classical RK4 integration (forward or backward in time), and
-central finite differences.  Everything here is a pure function of its
+Bracketed bisection, classical RK4 integration (forward or backward in time),
+and central finite differences.  Everything here is a pure function of its
 inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import BracketError, NumericalError, ValidationError
 
 __all__ = [
-    "QuadratureRule",
-    "OdeConfig",
-    "Trajectory",
-    "quadrature_integrate",
     "find_root_bisect",
-    "integrate_ode",
+    "rk4",
     "finite_diff_second",
-    "tilted_quadrature_moments",
 ]
-
-
-def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # physicists' Hermite nodes/weights for weight e^{-h^2}
-    return np.polynomial.hermite.hermgauss(n)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Affinely recentered Gauss-Hermite rule.
-
-    The reference weight is the Gaussian density with mean ``center`` and
-    standard deviation ``scale``.  ``nodes`` and ``total_weights`` satisfy
-    ``sum(total_weights * f(nodes)) ~ int f(x) dx`` for integrands that decay
-    at least like the reference Gaussian.
-    """
-
-    node_count: int = 64
-    center: float = 0.0
-    scale: float = 1.0
-    nodes: np.ndarray = field(init=False, repr=False)
-    total_weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ValidationError("node_count must be >= 1")
-        if not (self.scale > 0 and np.isfinite(self.scale)):
-            raise ValidationError("scale must be a positive finite real")
-        h, w = _hermgauss(self.node_count)
-        nodes = self.center + np.sqrt(2.0) * self.scale * h
-        # total weight = w * e^{h^2} * sqrt(2)*scale; computed in logs to
-        # survive large-n rules where w underflows against e^{h^2}.
-        logw = np.log(w) + h * h + 0.5 * np.log(2.0) + np.log(self.scale)
-        total = np.exp(logw)
-        if not (np.all(total > 0) and np.all(np.isfinite(total))):
-            raise ValidationError("quadrature weights must be positive finite")
-        gauss_mass = float(np.sum(w)) / np.sqrt(np.pi)
-        if abs(gauss_mass - 1.0) > 1e-12:
-            raise ValidationError("reference Gaussian does not integrate to 1")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "total_weights", total)
-
-
-def quadrature_integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
-    """Approximate ``int f(x) dx`` with the rule's Gaussian reference weight."""
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        vals = np.array([f(x) for x in rule.nodes], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = rule.nodes[~np.isfinite(vals)][0]
-        raise NumericalError(f"integrand is non-finite at node x={bad!r}")
-    return float(np.dot(rule.total_weights, vals))
 
 
 def find_root_bisect(
@@ -105,70 +46,22 @@ def find_root_bisect(
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class OdeConfig:
-    """Fixed-step (or tolerance-driven) RK4 configuration.
-
-    ``t_end < t_start`` means backward integration.
-    """
-
-    t_start: float
-    t_end: float
-    step_count: int | None = None
-    error_tolerance: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.step_count is None and self.error_tolerance is None:
-            raise ValidationError("need step_count or error_tolerance")
-        if self.step_count is not None and self.step_count < 1:
-            raise ValidationError("step_count must be >= 1")
-        if self.error_tolerance is not None and not self.error_tolerance > 0:
-            raise ValidationError("error_tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), *state_shape)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def _rk4(v, x0, t0, t1, n) -> Trajectory:
-    times = np.linspace(t0, t1, n + 1)
-    x = np.array(x0, dtype=float)
-    states = np.empty((n + 1,) + x.shape)
-    states[0] = x
-    h = (t1 - t0) / n
+def rk4(f, y: np.ndarray, s0: float, s1: float, n: int) -> np.ndarray:
+    """Classical RK4 for dy/ds = f(s, y) from s0 to s1 (either direction) in
+    n equal steps; returns the final state."""
+    h = (s1 - s0) / n
+    times = np.linspace(s0, s1, n + 1)
     for k in range(n):
-        t = times[k]
-        k1 = np.asarray(v(t, x), dtype=float)
-        k2 = np.asarray(v(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(v(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(v(t + h, x + h * k3), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(f"ODE state blew up near t={times[k + 1]}")
-        states[k + 1] = x
-    return Trajectory(times=times, states=states)
-
-
-def integrate_ode(v, x0, cfg: OdeConfig) -> Trajectory:
-    """Classical 4th-order explicit integration of ``dx/dt = v(t, x)``."""
-    if cfg.step_count is not None:
-        return _rk4(v, x0, cfg.t_start, cfg.t_end, cfg.step_count)
-    # step doubling until the endpoint stabilizes
-    n = 16
-    prev = _rk4(v, x0, cfg.t_start, cfg.t_end, n)
-    while n < 2 ** 20:
-        n *= 2
-        cur = _rk4(v, x0, cfg.t_start, cfg.t_end, n)
-        if np.max(np.abs(cur.final - prev.final)) < cfg.error_tolerance:
-            return cur
-        prev = cur
-    raise NumericalError("step doubling did not reach the requested tolerance")
+        s = times[k]
+        k1 = f(s, y)
+        k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(s + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            bad = int(np.argmax(~np.isfinite(y)))
+            raise NumericalError(f"ODE state blew up near t={times[k+1]} (point {bad})")
+    return y
 
 
 def finite_diff_second(f: Callable[[float], float], x: float, h: float) -> float:
@@ -180,56 +73,3 @@ def finite_diff_second(f: Callable[[float], float], x: float, h: float) -> float
         raise NumericalError(f"non-finite value near x={x}")
     return float((vals[0] - 2.0 * vals[1] + vals[2]) / (h * h))
 
-
-def tilted_quadrature_moments(
-    log_density: Callable[[np.ndarray], np.ndarray],
-    z: float,
-    t: float,
-    node_count: int = 64,
-    max_fixed_point: int = 8,
-) -> tuple[float, float, float]:
-    """Moments of the measure ``propto exp(log_density(x)) * N(z, t)(x)``.
-
-    Returns ``(log_mass, mean, variance)`` where ``log_mass`` is the log of
-    the integral of the unnormalized tilted density.  The rule is recentered
-    at the tilted mean found by a short fixed-point pass (the tilted measure
-    concentrates far from 0 for large ``z``); node count escalates from
-    ``node_count`` to 256 when two successive rules disagree.
-    """
-    if not t > 0:
-        raise ValidationError("t must be positive")
-
-    def moments(n, center, scale):
-        rule = QuadratureRule(node_count=n, center=center, scale=scale)
-        x = rule.nodes
-        logv = np.asarray(log_density(x), dtype=float) - (x - z) ** 2 / (2.0 * t)
-        m = np.max(logv)
-        if not np.isfinite(m):
-            raise NumericalError("tilted density vanished at all nodes; recenter")
-        w = rule.total_weights * np.exp(logv - m)
-        mass = np.sum(w)
-        mean = np.dot(w, x) / mass
-        var = np.dot(w, (x - mean) ** 2) / mass
-        return m + np.log(mass), mean, var
-
-    center, scale = float(z), float(np.sqrt(t))
-    prev = None
-    for it in range(max_fixed_point):
-        log_mass, mean, var = moments(node_count, center, scale)
-        if var <= 0 or not np.isfinite(var):
-            raise NumericalError("tilted variance is not positive; recenter")
-        center, scale = mean, float(np.sqrt(var))
-        if prev is not None and it >= 1:
-            if abs(mean - prev[0]) <= 1e-10 * (1 + abs(mean)) and abs(
-                var - prev[1]
-            ) <= 1e-10 * (1 + var):
-                break
-        prev = (mean, var)
-    else:
-        if abs(mean - prev[0]) > 1e-3 * (1 + abs(mean)):
-            raise NumericalError("tilted fixed point did not settle; recenter")
-    coarse = moments(node_count, center, scale)
-    fine = moments(min(4 * node_count, 256), center, scale)
-    if abs(coarse[1] - fine[1]) > 1e-9 * (1 + abs(fine[1])):
-        fine = moments(256, fine[1], float(np.sqrt(fine[2])))
-    return fine

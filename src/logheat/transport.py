@@ -19,6 +19,7 @@ from scipy.special import ndtri
 from . import measures as ms
 from .errors import NumericalError, ValidationError
 from .heatflow import marginal_stats_1d, ou_log_derivatives, wasserstein2_1d
+from .numerics import rk4
 
 __all__ = [
     "FlowMap",
@@ -43,7 +44,6 @@ class FlowMap:
     inputs: np.ndarray
     images: np.ndarray
     steps_per_unit: int
-    trajectories: tuple[np.ndarray, np.ndarray] | None = None  # (times, states)
 
     def __call__(self, x):
         """Piecewise-linear interpolation with end-slope extrapolation."""
@@ -97,29 +97,6 @@ def _velocity_1d(measure, t: float, xs: np.ndarray) -> np.ndarray:
     return -(sc + xs)
 
 
-def _rk4_vec(f, y: np.ndarray, s0: float, s1: float, n: int,
-             record: bool = False):
-    """RK4 for a vector state, s0 -> s1 in n steps; optional full history."""
-    h = (s1 - s0) / n
-    times = np.linspace(s0, s1, n + 1)
-    hist = np.empty((n + 1, y.size)) if record else None
-    if record:
-        hist[0] = y
-    for k in range(n):
-        s = times[k]
-        k1 = f(s, y)
-        k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(s + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            bad = int(np.argmax(~np.isfinite(y)))
-            raise NumericalError(f"flow state blew up near t={times[k+1]} (point {bad})")
-        if record:
-            hist[k + 1] = y
-    return (y, times, hist) if record else y
-
-
 def build_flow_map(
     measure,
     n_points: int = 257,
@@ -128,7 +105,6 @@ def build_flow_map(
     t_min: float = 1e-4,
     t_split: float = 0.5,
     inputs: np.ndarray | None = None,
-    keep_trajectories: bool = False,
 ) -> FlowMap:
     """Transport map from gamma to a 1D measure by backward flow integration.
 
@@ -162,11 +138,7 @@ def build_flow_map(
     vel = lambda t, x: _velocity_1d(measure, t, x)
     # leg A: t_max -> t_split, plain time variable
     nA = max(16, int(math.ceil(steps_per_unit * (t_max - t_split))))
-    rec = _rk4_vec(vel, y, t_max, t_split, nA, record=keep_trajectories)
-    if keep_trajectories:
-        y, timesA, histA = rec
-    else:
-        y = rec
+    y = rk4(vel, y, t_max, t_split, nA)
 
     # legs B/C: substituted variable tau = e^{2t} - 1, dy/dtau = v / (2(1+tau))
     def vel_tau(tau, x):
@@ -177,8 +149,8 @@ def build_flow_map(
     tau_min = math.expm1(2.0 * t_min)
     tau_half = math.expm1(t_min)  # tau at t_min / 2
     nB = max(16, int(math.ceil(steps_per_unit * (tau_split - tau_min))))
-    y_tmin = _rk4_vec(vel_tau, y, tau_split, tau_min, nB)
-    y_half = _rk4_vec(vel_tau, y_tmin, tau_min, tau_half, 16)
+    y_tmin = rk4(vel_tau, y, tau_split, tau_min, nB)
+    y_half = rk4(vel_tau, y_tmin, tau_min, tau_half, 16)
     images = 2.0 * y_half - y_tmin
 
     if np.any(np.diff(images) < -1e-10):
@@ -187,16 +159,12 @@ def build_flow_map(
             f"flow map lost monotonicity between inputs {inputs[k]} and {inputs[k+1]}"
         )
     images = np.maximum.accumulate(images)
-    traj = None
-    if keep_trajectories:
-        traj = (timesA, histA)
     return FlowMap(
         t_max=float(t_max),
         t_min=float(t_min),
         inputs=inputs,
         images=images,
         steps_per_unit=steps_per_unit,
-        trajectories=traj,
     )
 
 
@@ -306,15 +274,10 @@ def reverse_sde_sample(
     for k in range(steps):
         s = t1 - k * dt  # remaining OU time; >= dt > 0
         if d == 1:
-            _, sc, _ = marginal_stats_1d(measure, s, y[:, 0])
-            drift = y[:, 0] + 2.0 * sc
-            y = (y[:, 0] + dt * drift + sq * rng.standard_normal(n))[:, None]
+            score = marginal_stats_1d(measure, s, y[:, 0])[1][:, None]
         else:
-            drift = np.empty_like(y)
-            for i in range(n):
-                _, grad, _ = ou_log_derivatives(measure, s, y[i])
-                drift[i] = y[i] + 2.0 * (grad - y[i])
-            y = y + dt * drift + sq * rng.standard_normal((n, d))
+            score = ou_log_derivatives(measure, s, y)[1] - y
+        y = y + dt * (y + 2.0 * score) + sq * rng.standard_normal((n, d))
         if not np.all(np.isfinite(y)):
             raise NumericalError(f"reverse diffusion blew up at step {k + 1}")
     return y

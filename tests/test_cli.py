@@ -2,11 +2,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from logheat.cli import main, worker_count
+from logheat.cli import main
 
 
 @pytest.fixture
@@ -204,17 +206,15 @@ class TestDeterminism:
         assert (d1 / "bounds.json").read_bytes() == (d2 / "bounds.json").read_bytes()
 
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("LOGHEAT_THREADS", "3")
-        assert worker_count() == 3
+class TestImport:
+    def test_scipy_optimize_and_integrate_load_lazily(self):
+        # both cost a few tenths of a second of every CLI call; only
+        # two_atom_analysis and integrated_ou_upper_numeric need them
+        import logheat
 
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("LOGHEAT_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    def test_invalid(self, monkeypatch):
-        from logheat import ValidationError
-        monkeypatch.setenv("LOGHEAT_THREADS", "zero")
-        with pytest.raises(ValidationError):
-            worker_count()
+        src = os.path.dirname(os.path.dirname(logheat.__file__))
+        code = ("import sys, logheat; "
+                "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "[]"

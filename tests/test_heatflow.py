@@ -1,23 +1,32 @@
 """Tilted moments, the covariance representation, OU derivatives, W2."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logheat import (
     AtomicMeasure,
     CapabilityError,
+    GaussianMixture,
     NumericalError,
+    dilate,
     lemma1_check,
+    log_density,
     log_hessian,
     log_hessian_heat,
     make_gaussian_mixture,
     make_perturbed,
     ou_log_derivatives,
+    score,
     standard_gaussian,
+    theta_envelope,
     tilted_moments,
     wasserstein2_1d,
 )
+from logheat.heatflow import marginal_stats_1d
 from logheat.measures import convolve_gaussian
 
 from conftest import random_atomic, random_mixture, random_perturbed
@@ -171,6 +180,141 @@ class TestOuDerivatives:
         fd_h = (vals[1] - 2 * vals[2] + vals[3]) / eps**2
         assert gr[0] == pytest.approx(fd_g, abs=1e-6)
         assert h[0, 0] == pytest.approx(fd_h, abs=1e-4)
+
+
+def _mixture_log_hessian_mp(components, z, t):
+    """-d^2/dz^2 log sum_k w_k N(z; m_k, s_k + t), in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        p = dp = d2p = mpmath.mpf(0)
+        for w, m, s in components:
+            var = mpmath.mpf(s) + mpmath.mpf(t)
+            u = (z - mpmath.mpf(m)) / var
+            phi = mpmath.mpf(w) * mpmath.npdf(z, mpmath.mpf(m), mpmath.sqrt(var))
+            p += phi
+            dp += -u * phi
+            d2p += (u * u - 1 / var) * phi
+        return float(-(d2p / p - (dp / p) ** 2))
+
+
+class TestCentredAggregation:
+    """Far tilts and small t, where uncentred second moments cancel."""
+
+    def test_perturbed_gaussian_far_tilt(self):
+        t = 1e-4
+        got = log_hessian_heat(make_perturbed(1.0), [1e4], t)[0, 0]
+        assert got == pytest.approx(1.0 / (1.0 + t), rel=1e-10)
+
+    def test_perturbed_gaussian_theta_small_t(self):
+        env = theta_envelope(make_perturbed(1.0), time_grid=np.array([1e-6]))
+        assert max(abs(env.theta_min[0]), abs(env.theta_max[0])) < 1e-9
+
+    def test_mixture_gaussian_far_tilt(self):
+        t = 1e-4
+        got = log_hessian_heat(standard_gaussian(1), [1e4], t)[0, 0]
+        assert got == pytest.approx(1.0 / (1.0 + t), rel=1e-10)
+
+    def test_narrow_mixture_small_t(self):
+        comps = [(0.5, 0.0, 1e-3), (0.5, 0.1, 2e-3)]
+        m = make_gaussian_mixture([(w, [mu], s) for w, mu, s in comps])
+        z, t = 100.0, 1e-4
+        got = log_hessian_heat(m, [z], t)[0, 0]
+        assert got == pytest.approx(_mixture_log_hessian_mp(comps, z, t), rel=1e-10)
+
+    def test_translated_mixture(self):
+        # both components keep comparable tilted weights 1e4 away from 0
+        comps = [(0.5, 1e4, 1.0), (0.5, 1e4 + 1.0, 1.0)]
+        m = make_gaussian_mixture([(w, [mu], s) for w, mu, s in comps])
+        z, t = 1e4 + 0.3, 1e-2
+        got = log_hessian_heat(m, [z], t)[0, 0]
+        assert got == pytest.approx(_mixture_log_hessian_mp(comps, z, t), rel=1e-10)
+
+
+@st.composite
+def _tilted_cases(draw):
+    """A random measure of each family (mixtures and atoms moved up to 1e4
+    away from 0), a tilt point up to 1e4 away from it, and t."""
+    kind = draw(st.sampled_from(["mix1", "mix2", "atoms", "perturbed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1e2, 1e4]))
+    if kind == "mix1" or kind == "mix2":
+        m = random_mixture(rng, dim=1 if kind == "mix1" else 2)
+        m = GaussianMixture(m.dim, m.weights, m.means + offset, m.variances)
+    elif kind == "atoms":
+        m = random_atomic(rng)
+        m = AtomicMeasure(1, m.weights, m.locations + offset)
+    else:
+        m, offset = random_perturbed(rng), 0.0
+    scale = draw(st.sampled_from([1.0, 1e2, 1e4]))
+    z = offset + scale * rng.uniform(-1.0, 1.0, size=m.dim)
+    t = draw(st.floats(1e-4, 10.0))
+    return m, z, t
+
+
+class TestTiltedCovarianceProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_tilted_cases())
+    def test_symmetric_positive_semidefinite(self, case):
+        m, z, t = case
+        cov = tilted_moments(m, z, t).covariance
+        assert np.all(np.isfinite(cov))
+        assert np.array_equal(cov, cov.T)
+        assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12
+
+
+def _ou_measures(rng):
+    return [random_mixture(rng), random_mixture(rng, dim=2), random_atomic(rng),
+            random_perturbed(rng)]
+
+
+class TestBatchedOu:
+    def test_ou_batch_matches_pointwise(self, rng):
+        for m in _ou_measures(rng):
+            xs = rng.uniform(-4.0, 4.0, size=(9, m.dim))
+            for t in (0.05, 0.7, 3.0):
+                val, grad, hess = ou_log_derivatives(m, t, xs)
+                assert val.shape == (9,) and grad.shape == (9, m.dim)
+                assert hess.shape == (9, m.dim, m.dim)
+                for k, x in enumerate(xs):
+                    v1, g1, h1 = ou_log_derivatives(m, t, x)
+                    assert val[k] == pytest.approx(v1, rel=1e-13, abs=1e-13)
+                    np.testing.assert_allclose(grad[k], g1, rtol=1e-13, atol=1e-13)
+                    np.testing.assert_allclose(hess[k], h1, rtol=1e-13, atol=1e-13)
+
+    def test_marginal_stats_match_pointwise(self, rng):
+        for m in _ou_measures(rng):
+            if m.dim != 1:
+                continue
+            xs = rng.uniform(-4.0, 4.0, size=9)
+            for t in (0.05, 0.7, 3.0):
+                logp, sc, hess = marginal_stats_1d(m, t, xs)
+                for k, x in enumerate(xs):
+                    one = marginal_stats_1d(m, t, xs[k:k + 1])
+                    np.testing.assert_allclose([logp[k], sc[k], hess[k]],
+                                               [one[0][0], one[1][0], one[2][0]],
+                                               rtol=1e-13, atol=1e-13)
+                    # the same marginal through the relative-density derivatives
+                    v1, g1, h1 = ou_log_derivatives(m, t, [x])
+                    log_gamma = -0.5 * math.log(2 * math.pi) - 0.5 * x * x
+                    assert logp[k] == pytest.approx(v1 + log_gamma, rel=1e-12, abs=1e-12)
+                    assert sc[k] == pytest.approx(g1[0] - x, rel=1e-12, abs=1e-12)
+                    assert hess[k] == pytest.approx(h1[0, 0] - 1.0, rel=1e-12, abs=1e-11)
+
+    def test_mixture_matches_convolved_closed_form(self, rng):
+        for dim in (1, 2):
+            for _ in range(4):
+                m = random_mixture(rng, dim=dim)
+                for t in (0.05, 0.7, 3.0):
+                    marg = convolve_gaussian(dilate(m, math.exp(-t)), -math.expm1(-2 * t))
+                    xs = rng.uniform(-4.0, 4.0, size=(7, dim))
+                    logp, sc, hess = ou_log_derivatives(m, t, xs)
+                    for k, x in enumerate(xs):
+                        log_gamma = -0.5 * dim * math.log(2 * math.pi) - 0.5 * float(x @ x)
+                        assert logp[k] + log_gamma == pytest.approx(
+                            log_density(marg, x), abs=1e-10)
+                        np.testing.assert_allclose(sc[k] - x, score(marg, x), atol=1e-10)
+                        np.testing.assert_allclose(hess[k] - np.eye(dim), log_hessian(marg, x),
+                                                   atol=1e-10)
 
 
 class TestWasserstein:

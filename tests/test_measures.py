@@ -159,10 +159,10 @@ class TestConvolution:
         pm = random_perturbed(rng)
         c2 = convolve_gaussian(pm, 1.0)
         zs = np.linspace(-3, 3, 13)
-        d2 = np.array([c2.pdf([z]) for z in zs])
+        d2 = c2.pdf(zs[:, None])
         # evaluate (mu*g_{0.4})*g_{0.6} by quadrature over the oracle density
         xs = np.linspace(-30, 30, 60001)
-        inner_vals = np.array([convolve_gaussian(pm, 0.4).pdf([x]) for x in xs])
+        inner_vals = convolve_gaussian(pm, 0.4).pdf(xs[:, None])
         kern = lambda z: np.exp(-0.5 * (z - xs) ** 2 / 0.6) / math.sqrt(2 * math.pi * 0.6)
         d1 = np.array([np.trapezoid(inner_vals * kern(z), xs) for z in zs])
         assert np.max(np.abs(d1 - d2)) < 1e-9

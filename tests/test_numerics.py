@@ -1,74 +1,16 @@
-"""Quadrature, root finding, ODE integration, finite differences."""
+"""Root finding, ODE integration, finite differences."""
 import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from logheat import (
     BracketError,
     NumericalError,
-    OdeConfig,
-    QuadratureRule,
-    ValidationError,
     find_root_bisect,
     finite_diff_second,
-    integrate_ode,
-    quadrature_integrate,
 )
-from logheat.numerics import tilted_quadrature_moments
-
-
-def gauss_pdf(x):
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-class TestQuadrature:
-    def test_gaussian_normalization(self):
-        rule = QuadratureRule()
-        assert quadrature_integrate(gauss_pdf, rule) == pytest.approx(1.0, abs=1e-12)
-
-    def test_gaussian_second_moment(self):
-        rule = QuadratureRule()
-        assert quadrature_integrate(lambda x: x * x * gauss_pdf(x), rule) == (
-            pytest.approx(1.0, abs=1e-12)
-        )
-
-    def test_exp_abs_value(self):
-        # int e^{-|x|} N(0,1)(x) dx = 2 e^{1/2} Phi(-1)   [DERIVED]
-        rule = QuadratureRule(node_count=256)
-        exact = 2.0 * math.exp(0.5) * ndtr(-1.0)
-        got = quadrature_integrate(lambda x: np.exp(-np.abs(x)) * gauss_pdf(x), rule)
-        # the kink at 0 limits Gauss-Hermite to ~n^{-3/2} convergence
-        assert got == pytest.approx(exact, abs=2e-3)
-        # dense trapezoid oracle
-        xs = np.linspace(-12, 12, 200001)
-        orac = np.trapezoid(np.exp(-np.abs(xs)) * gauss_pdf(xs), xs)
-        assert exact == pytest.approx(orac, abs=1e-8)
-
-    @pytest.mark.parametrize("deg", range(7))
-    def test_polynomial_exactness(self, deg):
-        rule = QuadratureRule(node_count=8)
-        # odd moments vanish; even moment 2k is (2k-1)!!
-        exact = 0.0 if deg % 2 else math.prod(range(1, deg, 2) or [1])
-        got = quadrature_integrate(lambda x: x**deg * gauss_pdf(x), rule)
-        assert got == pytest.approx(exact, abs=1e-10)
-
-    def test_recentered_rule(self):
-        rule = QuadratureRule(node_count=64, center=5.0, scale=2.0)
-        f = lambda x: np.exp(-0.5 * ((x - 5.0) / 2.0) ** 2) / (2.0 * math.sqrt(2 * math.pi))
-        assert quadrature_integrate(f, rule) == pytest.approx(1.0, abs=1e-12)
-
-    def test_nonfinite_raises(self):
-        rule = QuadratureRule(node_count=8)
-        with pytest.raises(NumericalError):
-            quadrature_integrate(lambda x: np.where(x > 0, np.inf, 1.0), rule)
-
-    def test_bad_rule(self):
-        with pytest.raises(ValidationError):
-            QuadratureRule(node_count=0)
-        with pytest.raises(ValidationError):
-            QuadratureRule(scale=-1.0)
+from logheat.numerics import rk4
 
 
 class TestBisect:
@@ -91,44 +33,28 @@ class TestBisect:
 
 class TestOde:
     def test_exponential_decay(self):
-        cfg = OdeConfig(t_start=0.0, t_end=1.0, step_count=100)
-        traj = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
-        assert traj.final[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
+        y = rk4(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, 100)
+        assert y[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_constant_field(self):
-        cfg = OdeConfig(t_start=0.0, t_end=2.0, step_count=10)
-        traj = integrate_ode(lambda t, y: 0.0 * y, np.array([3.0, -1.0]), cfg)
-        assert np.allclose(traj.states, [3.0, -1.0])
+        y = rk4(lambda t, y: 0.0 * y, np.array([3.0, -1.0]), 0.0, 2.0, 10)
+        assert np.array_equal(y, [3.0, -1.0])
 
     def test_backward_exact(self):
         # dy/dt = -m e^{-t} backward from y(T) = x gives x + m(1 - e^{-T})
         m, T, x = 1.5, 4.0, 0.3
-        cfg = OdeConfig(t_start=T, t_end=0.0, step_count=400)
-        traj = integrate_ode(lambda t, y: -m * math.exp(-t) * np.ones_like(y),
-                             np.array([x]), cfg)
-        assert traj.final[0] == pytest.approx(x + m * (1 - math.exp(-T)), abs=1e-10)
+        y = rk4(lambda t, y: -m * math.exp(-t) * np.ones_like(y), np.array([x]), T, 0.0, 400)
+        assert y[0] == pytest.approx(x + m * (1 - math.exp(-T)), abs=1e-10)
 
     def test_fourth_order_convergence(self):
         def err(n):
-            cfg = OdeConfig(t_start=0.0, t_end=1.0, step_count=n)
-            traj = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
-            return abs(traj.final[0] - math.exp(-1.0))
+            return abs(rk4(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, n)[0] - math.exp(-1.0))
 
         assert err(10) / err(20) >= 8.0
 
-    def test_tolerance_mode(self):
-        cfg = OdeConfig(t_start=0.0, t_end=1.0, error_tolerance=1e-10)
-        traj = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
-        assert traj.final[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
-
     def test_blowup_reports_time(self):
-        cfg = OdeConfig(t_start=0.0, t_end=2.0, step_count=50)
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="t="):
-            integrate_ode(lambda t, y: y * y * 100.0, np.array([1.0]), cfg)
-
-    def test_bad_config(self):
-        with pytest.raises(ValidationError):
-            OdeConfig(t_start=0.0, t_end=1.0)
+            rk4(lambda t, y: y * y * 100.0, np.array([1.0]), 0.0, 2.0, 50)
 
 
 class TestFiniteDiff:
@@ -142,21 +68,3 @@ class TestFiniteDiff:
         f = lambda x: 0.5 * x * x + 0.5 * math.log(2 * math.pi)
         assert finite_diff_second(f, 0.0, 1e-3) == pytest.approx(1.0, abs=1e-5)
 
-
-class TestTiltedQuadrature:
-    def test_gaussian_tilt_closed_form(self):
-        # base N(0,1) tilted by N(z, t): variance t/(1+t), mean z/(1+t)
-        z, t = 3.0, 0.5
-        log_mass, mean, var = tilted_quadrature_moments(
-            lambda x: -0.5 * x * x - 0.5 * math.log(2 * math.pi), z, t
-        )
-        assert mean == pytest.approx(z / (1 + t), rel=1e-9)
-        assert var == pytest.approx(t / (1 + t), rel=1e-9)
-
-    def test_far_tilt_recenters(self):
-        z, t = 40.0, 2.0
-        _, mean, var = tilted_quadrature_moments(
-            lambda x: -0.5 * x * x - 0.5 * math.log(2 * math.pi), z, t
-        )
-        assert mean == pytest.approx(z / (1 + t), rel=1e-8)
-        assert var == pytest.approx(t / (1 + t), rel=1e-8)
