@@ -97,8 +97,8 @@ def _tilt_atoms(mu, zs: np.ndarray, t: float):
 def _tilt_perturbed(pm: PerturbedLogConcave1D, zs: np.ndarray, t: float):
     """Closed-form truncated-Gaussian moments on each panel of the density."""
     z = zs[:, 0]
-    B = z[:, None] / t - pm.panel_b[None, :]
-    A = -pm.panel_a[None, :] - (z * z)[:, None] / (2.0 * t)
+    B = z / t - pm.panel_b[:, None]  # (P, n)
+    A = -pm.panel_a[:, None] - z * z / (2.0 * t)
     log_mass, mean, var = _panel_moments(pm.alpha + 1.0 / t, B, A, pm.panel_edges)
     log_mass = log_mass - 0.5 * (_LOG_2PI + math.log(t)) - pm.log_normalizer
     return log_mass, mean[:, None], var[:, None, None]
@@ -114,8 +114,10 @@ _TILT = {
 
 def _tilt(measure, zs: np.ndarray, t: float):
     """(log_mass, mean, cov) of mu_{z,t} at each row of zs, shape (n, dim)."""
-    if not t > 0:
-        raise ValidationError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValidationError(f"t must be positive and finite, got {t}")
+    if not np.isfinite(zs).all():
+        raise ValidationError("tilt points must be finite")
     kernel = _TILT.get(type(measure))
     if kernel is None:
         raise CapabilityError(f"no tilted moments for {type(measure).__name__}")

@@ -54,81 +54,59 @@ def _logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis)
 
 
-def _log_norm_pdf(x):
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    finite = np.isfinite(x)
-    out[finite] = -0.5 * x[finite] ** 2 - 0.5 * _LOG_2PI
-    return out
-
-
 def _log_gauss_mass(a, b):
-    """log(Phi(b) - Phi(a)) for a <= b, elementwise, +-inf allowed."""
-    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-    out = np.empty(a.shape)
-    left = b <= 0
-    right = a >= 0
-    mid = ~(left | right)
-    if np.any(left):
-        la, lb = log_ndtr(a[left]), log_ndtr(b[left])
-        out[left] = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
-    if np.any(right):
-        la, lb = log_ndtr(-b[right]), log_ndtr(-a[right])
-        out[right] = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
-    if np.any(mid):
-        out[mid] = np.log1p(-(ndtr(a[mid]) + ndtr(-b[mid])))
-    return out
+    """log(Phi(b) - Phi(a)) for a <= b, elementwise, +-inf allowed.
 
-
-def _panel_log_masses(C, B, A, edges):
-    """Log masses of exp(-C x^2/2 + B x + A) over consecutive panels.
-
-    ``edges`` has length P+1 (first/last may be +-inf); B and A broadcast
-    with a trailing panel axis of length P.  Returns ``(log_mass, m, sigma)``
-    with the per-panel Gaussian mode ``m = B/C``.
+    Each interval is first reflected so that its centre is <= 0: then
+    Phi(lo) <= 1/2, and the difference never cancels two numbers close to 1.
     """
-    sigma = 1.0 / math.sqrt(C)
-    B = np.asarray(B, float)
-    A = np.asarray(A, float)
-    m = B / C
-    lo, hi = edges[:-1], edges[1:]
-    a = (lo - m) / sigma
-    b = (hi - m) / sigma
-    log_mass = A + B * B / (2.0 * C) + 0.5 * math.log(2.0 * math.pi / C)
-    log_mass = log_mass + _log_gauss_mass(a, b)
-    return log_mass, m, sigma
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    flip = a > -b  # a + b > 0, without inf - inf
+    lo = np.where(flip, -b, a)
+    hi = np.where(flip, -a, b)
+    l_hi = log_ndtr(hi)
+    # fmin: an empty interval at -inf gives -inf - (-inf) = nan, and mass 0
+    return l_hi + np.log1p(-np.exp(np.fmin(log_ndtr(lo) - l_hi, 0.0)))
 
 
 def _panel_moments(C, B, A, edges):
     """Aggregate (log_mass, mean, variance) of the piecewise-Gaussian density
-    exp(-C x^2/2 + B x + A_p) on panels delimited by ``edges``."""
-    log_mass, m, sigma = _panel_log_masses(C, B, A, edges)
-    lo, hi = edges[:-1], edges[1:]
-    a = (lo - m) / sigma
-    b = (hi - m) / sigma
-    logZ = _log_gauss_mass(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d1 = np.exp(_log_norm_pdf(a) - logZ)
-        d2 = np.exp(_log_norm_pdf(b) - logZ)
-    d1 = np.where(np.isfinite(d1), d1, 0.0)
-    d2 = np.where(np.isfinite(d2), d2, 0.0)
-    t1 = np.where(d1 > 0, np.where(np.isfinite(a), a, 0.0) * d1, 0.0)
-    t2 = np.where(d2 > 0, np.where(np.isfinite(b), b, 0.0) * d2, 0.0)
-    mean_p = m + sigma * (d1 - d2)
-    var_p = sigma * sigma * (1.0 + t1 - t2 - (d1 - d2) ** 2)
+    exp(-C x^2/2 + B x + A_p) on panels delimited by ``edges``.
 
-    M = np.max(log_mass, axis=-1, keepdims=True)
+    ``edges`` has length P+1 (first/last may be +-inf); B and A broadcast
+    with a leading panel axis of length P, so that the sums over panels run
+    over contiguous rows.  On each panel the density is a Gaussian with mode
+    m = B/C and scale sigma = C^{-1/2}, truncated to [a, b] in standard units.
+    """
+    sigma = 1.0 / math.sqrt(C)
+    m = B / C
+    edges = edges.reshape((-1,) + (1,) * (B.ndim - 1))
+    a = (edges[:-1] - m) / sigma
+    b = (edges[1:] - m) / sigma
+    logZ = _log_gauss_mass(a, b)
+    log_mass = A + B * B / (2.0 * C) + 0.5 * math.log(2.0 * math.pi / C) + logZ
+    # phi(a)/Z and phi(b)/Z: a panel with Z = 0 gets pi = 0 below and is
+    # masked out; an infinite edge gives phi = 0, and t1, t2 skip inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = np.exp(-0.5 * a * a - 0.5 * _LOG_2PI - logZ)
+        d2 = np.exp(-0.5 * b * b - 0.5 * _LOG_2PI - logZ)
+        t1 = np.where(d1 > 0, a * d1, 0.0)
+        t2 = np.where(d2 > 0, b * d2, 0.0)
+    dd = d1 - d2
+    mean_p = m + sigma * dd
+    var_p = sigma * sigma * (1.0 + t1 - t2 - dd * dd)
+
+    M = np.max(log_mass, axis=0)
     M = np.where(np.isfinite(M), M, 0.0)
     w = np.exp(log_mass - M)
-    W = np.sum(w, axis=-1)
-    pi = w / W[..., None]
+    W = np.sum(w, axis=0)
+    pi = w / W
     keep = pi > 0
     mean_p = np.where(keep, mean_p, 0.0)
     var_p = np.where(keep, np.maximum(var_p, 0.0), 0.0)
-    total_log = np.squeeze(M, axis=-1) + np.log(W)
-    mean = np.sum(pi * mean_p, axis=-1)
-    var = np.sum(pi * (var_p + (mean_p - mean[..., None]) ** 2), axis=-1)
-    return total_log, mean, np.maximum(var, 0.0)
+    mean = np.sum(pi * mean_p, axis=0)
+    var = np.sum(pi * (var_p + (mean_p - mean) ** 2), axis=0)
+    return M + np.log(W), mean, np.maximum(var, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +188,8 @@ class GaussianMixture:
         v = np.asarray(self.variances, dtype=float)
         if self.dim < 1:
             raise ValidationError("dim must be a positive integer")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
+            raise ValidationError("weights, means and variances must be finite")
         if w.size < 1:
             raise ValidationError("need at least one component")
         if np.any(w <= 0) or np.any(v <= 0):
@@ -378,8 +358,8 @@ def make_gaussian_mixture(components: Sequence[tuple], dim: int | None = None) -
         dim = ms[0].size
     merged: dict[tuple, float] = {}
     for w, m, v in zip(ws, ms, vs):
-        if w <= 0 or v <= 0:
-            raise ValidationError("weights and variances must be positive")
+        if not (0 < w < math.inf and 0 < v < math.inf):
+            raise ValidationError("weights and variances must be positive and finite")
         key = (tuple(m.tolist()), v)
         merged[key] = merged.get(key, 0.0) + w
     weights = np.array(list(merged.values()))
@@ -523,10 +503,18 @@ def convolve_gaussian(measure: Measure, t: float):
     raise CapabilityError(f"cannot convolve {type(measure).__name__}")
 
 
+def _with_fields(obj, **fields):
+    """Shallow copy of a frozen dataclass with ``fields`` replaced and
+    ``__post_init__`` skipped: the caller keeps the fields consistent."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(obj.__dict__, **fields)
+    return out
+
+
 def dilate(measure: Measure, c: float):
-    """Law of c*X for X ~ measure (c > 0)."""
-    if not c > 0:
-        raise ValidationError("dilation factor must be positive")
+    """Law of c*X for X ~ measure (0 < c < inf)."""
+    if not 0 < c < math.inf:
+        raise ValidationError("dilation factor must be positive and finite")
     if isinstance(measure, GaussianMixture):
         return GaussianMixture(
             dim=measure.dim,
@@ -539,10 +527,19 @@ def dilate(measure: Measure, c: float):
             dim=measure.dim, weights=measure.weights, locations=measure.locations * c
         )
     if isinstance(measure, PerturbedLogConcave1D):
-        v = PiecewiseLinear(measure.v_extra.knots * c, measure.v_extra.slopes / c)
-        h = PiecewiseLinear(measure.h.knots * c, measure.h.slopes / c)
-        return PerturbedLogConcave1D(
-            alpha=measure.alpha / (c * c), v_extra=v, h=h, lip=measure.lip / c
+        # cX has potential W(y/c): knots and panel edges scale by c, slopes
+        # by 1/c and alpha by 1/c^2; knot values and panel offsets are kept,
+        # and the normalizing integral gains a factor c
+        v, h = measure.v_extra, measure.h
+        return _with_fields(
+            measure,
+            alpha=measure.alpha / (c * c),
+            v_extra=_with_fields(v, knots=v.knots * c, slopes=v.slopes / c),
+            h=_with_fields(h, knots=h.knots * c, slopes=h.slopes / c),
+            lip=measure.lip / c,
+            log_normalizer=measure.log_normalizer + math.log(c),
+            panel_edges=measure.panel_edges * c,
+            panel_b=measure.panel_b / c,
         )
     raise CapabilityError(f"cannot dilate {type(measure).__name__}")
 
@@ -557,7 +554,7 @@ def mean_variance_1d(measure) -> tuple[float, float]:
             raise CapabilityError("1D only")
         m = measure.means[:, 0]
         mean = float(np.dot(measure.weights, m))
-        var = float(np.dot(measure.weights, measure.variances + m * m) - mean**2)
+        var = float(np.dot(measure.weights, measure.variances + (m - mean) ** 2))
         return mean, var
     if isinstance(measure, (AtomicMeasure, CounterexampleMeasure)):
         x, lw = _atom_data_1d(measure)
@@ -598,27 +595,17 @@ def cdf_1d(measure, x) -> np.ndarray:
         idx = np.searchsorted(xs, x, side="right")
         return np.concatenate([[0.0], cum])[idx]
     if isinstance(measure, PerturbedLogConcave1D):
-        edges = measure.panel_edges
-        out = np.zeros(x.shape)
-        C = measure.alpha
-        for p in range(len(measure.panel_a)):
-            B = -measure.panel_b[p]
-            A = -measure.panel_a[p]
-            m = B / C
-            sigma = 1.0 / math.sqrt(C)
-            lo, hi = edges[p], edges[p + 1]
-            up = np.clip(x, lo, hi)
-            mask = up > lo
-            if not np.any(mask):
-                continue
-            logm = (
-                A
-                + B * B / (2.0 * C)
-                + 0.5 * math.log(2.0 * math.pi / C)
-                + _log_gauss_mass((lo - m) / sigma, (up[mask] - m) / sigma)
-            )
-            out[mask] += np.exp(logm - measure.log_normalizer)
-        return np.clip(out, 0.0, 1.0)
+        # the whole panels below the panel k holding x, plus panel k over [edge k, x]
+        C, edges = measure.alpha, measure.panel_edges
+        m, sigma = -measure.panel_b / C, 1.0 / math.sqrt(C)
+        log_scale = (0.5 * C * m * m - measure.panel_a + 0.5 * math.log(2.0 * math.pi / C)
+                     - measure.log_normalizer)
+        lo, hi = (edges[:-1] - m) / sigma, (edges[1:] - m) / sigma
+        k = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, m.size - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # empty piece: x on edge k
+            part = _log_gauss_mass(lo[k], (x - m[k]) / sigma)
+        below = np.concatenate([[0.0], np.cumsum(np.exp(log_scale + _log_gauss_mass(lo, hi)))])
+        return np.clip(below[k] + np.exp(log_scale[k] + part), 0.0, 1.0)
     raise CapabilityError(f"no cdf for {type(measure).__name__}")
 
 
@@ -655,8 +642,8 @@ def sample(measure, n: int, seed: int = 0) -> np.ndarray:
 
     Returns shape (n, dim); callers in 1D may squeeze.
     """
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
+    if not (n >= 1 and seed >= 0):
+        raise ValidationError("need n >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
     if isinstance(measure, GaussianMixture):
         idx = rng.choice(measure.weights.size, size=n, p=measure.weights)
@@ -688,16 +675,25 @@ _PSI_FUNCTIONS = {
 }
 
 
+def _json_entries(obj: dict, key: str, fields: str) -> list:
+    """obj[key], checked to be a list of [fields] lists."""
+    entries = obj.get(key)
+    if not (isinstance(entries, list) and all(
+            isinstance(e, list) and len(e) == len(fields.split(",")) for e in entries)):
+        raise ValidationError(f"'{key}' must be a list of [{fields}] entries")
+    return entries
+
+
 def measure_from_json(obj: dict):
     """Measure JSON schema used by the CLI (weights may be unnormalized)."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError("measure JSON needs a 'type' field")
     kind = obj["type"]
     if kind == "gaussian_mixture":
-        comps = [(c[0], c[1], c[2]) for c in obj["components"]]
+        comps = _json_entries(obj, "components", "weight, mean, variance")
         return make_gaussian_mixture(comps, dim=obj.get("dim"))
     if kind == "atomic":
-        atoms = obj["atoms"]
+        atoms = _json_entries(obj, "atoms", "weight, location")
         w = np.array([a[0] for a in atoms], dtype=float)
         locs = np.atleast_2d(np.array([np.atleast_1d(a[1]) for a in atoms], dtype=float))
         w = w / np.sum(w)

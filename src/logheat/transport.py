@@ -182,6 +182,8 @@ def pushforward_validate(
     flow: FlowMap, target, n_samples: int = 20000, seed: int = 0
 ) -> PushforwardReport:
     """Push Gaussian samples through the flow and compare with the target."""
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n_samples)
     y = np.sort(flow(x))
@@ -262,8 +264,8 @@ def reverse_sde_sample(
     initialized exactly at the OU marginal of `measure` at time t1.  Returns
     samples of shape (n, dim), approximately distributed as `measure`.
     """
-    if not (t1 > 0 and n >= 1 and steps >= 1):
-        raise ValidationError("need t1 > 0, n >= 1, steps >= 1")
+    if not (t1 > 0 and n >= 1 and steps >= 1 and seed >= 0):
+        raise ValidationError("need t1 > 0, n >= 1, steps >= 1, seed >= 0")
     rng = np.random.default_rng(seed)
     d = measure.dim
     x0 = ms.sample(measure, n, seed=seed + 1)

@@ -84,6 +84,26 @@ class TestHessianScan:
         assert main(["hessian-scan", "--measure", "/no/such.json", "--t", "1"]) == 2
 
 
+    def test_nan_weight_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({
+            "type": "gaussian_mixture",
+            "components": [[math.nan, [0.0], 1.0], [0.5, [1.0], 1.0]],
+        }))
+        assert main(["hessian-scan", "--measure", str(path), "--t", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ")
+        assert "NaN" not in out.out + out.err
+
+    def test_malformed_component_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({
+            "type": "gaussian_mixture", "components": [[0.5, [0.0]], [0.5, [1.0], 1.0]],
+        }))
+        assert main(["hessian-scan", "--measure", str(path), "--t", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestTransport:
     def test_perturbed_report(self, tmp_path, capsys, perturbed_file):
         rc = main(["transport", "--measure", perturbed_file, "--points", "65",
@@ -183,6 +203,13 @@ class TestReverseSde:
         assert abs(rep["sample_mean"]) < 0.2
         arr = np.loadtxt(rep["csv"], delimiter=",", skiprows=1)
         assert arr.shape == (2000,)
+
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys, mixture_file):
+        rc = main(["reverse-sde", "--measure", mixture_file, "--n", "10",
+                   "--steps", "2", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDeterminism:

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from logheat import (
+    AtomicMeasure,
     SearchError,
     ValidationError,
     build_counterexample,
     split_function_F,
+    log_hessian_heat,
     tilted_moments,
     two_atom_analysis,
     variance_certificate,
@@ -165,3 +167,26 @@ class TestTwoAtom:
     def test_validation(self):
         with pytest.raises(ValidationError):
             two_atom_analysis(0.0, 0.5, 0.5, 1.0)
+
+    @pytest.mark.parametrize("x0, w0, w1, t", [
+        (2.0, 0.5, 0.5, 1.0), (2.0, 0.5, 0.5, 0.9), (-3.0, 0.9, 0.1, 1.7),
+        (5.0, 0.2, 0.8, 2.0), (0.5, 0.7, 0.3, 0.01),
+    ])
+    def test_batched_grid_matches_pointwise(self, x0, w0, w1, t):
+        from scipy.optimize import minimize_scalar
+
+        # reference: the 601-point grid and refinement, one point per call
+        mu = AtomicMeasure(dim=1, weights=np.array([w0, w1]) / (w0 + w1),
+                           locations=np.array([[0.0], [x0]]))
+        curv = lambda z: float(log_hessian_heat(mu, [z], t)[0, 0])
+        z_bar = 0.5 * x0 + (t / x0) * math.log(w0 / w1)
+        zs = np.linspace(-2.0 * abs(x0), 3.0 * abs(x0), 601)
+        vals = np.array([curv(float(z)) for z in zs])
+        k = int(np.argmin(vals))
+        res = minimize_scalar(curv, bounds=(float(zs[max(k - 1, 0)]), float(zs[min(k + 1, 600)])),
+                              method="bounded", options={"xatol": 1e-10})
+        rec = two_atom_analysis(x0, w0, w1, t)
+        assert rec.z_bar == pytest.approx(z_bar, rel=1e-12)
+        assert rec.curvature_at_z_bar == pytest.approx(curv(z_bar), rel=1e-12)
+        assert rec.grid_min_curvature == pytest.approx(
+            min(float(np.min(vals)), float(res.fun)), rel=1e-12)

@@ -12,6 +12,7 @@ from logheat import (
     CapabilityError,
     GaussianMixture,
     NumericalError,
+    ValidationError,
     dilate,
     lemma1_check,
     log_density,
@@ -265,6 +266,28 @@ class TestTiltedCovarianceProperties:
 def _ou_measures(rng):
     return [random_mixture(rng), random_mixture(rng, dim=2), random_atomic(rng),
             random_perturbed(rng)]
+
+
+class TestTiltValidation:
+    """Non-finite tilt points or t must not come back as NaN."""
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point(self, z):
+        for m in (standard_gaussian(1), two_atoms(), make_perturbed(1.0)):
+            with pytest.raises(ValidationError, match="finite"):
+                tilted_moments(m, [z], 1.0)
+            with pytest.raises(ValidationError, match="finite"):
+                log_hessian_heat(m, [z], 1.0)
+
+    def test_non_finite_row_in_batch(self):
+        xs = np.array([[0.0], [math.nan]])
+        with pytest.raises(ValidationError, match="finite"):
+            ou_log_derivatives(make_perturbed(1.0), 0.5, xs)
+
+    def test_infinite_t(self):
+        for m in (standard_gaussian(1), two_atoms(), make_perturbed(1.0)):
+            with pytest.raises(ValidationError, match="finite"):
+                log_hessian_heat(m, [0.0], math.inf)
 
 
 class TestBatchedOu:

@@ -1,8 +1,11 @@
 """Measure construction, densities, convolution, sampling, CDFs."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logheat import (
     AtomicMeasure,
@@ -22,7 +25,8 @@ from logheat import (
     score,
     standard_gaussian,
 )
-from logheat.measures import PiecewiseLinear, quantile_1d
+from logheat.heatflow import _tilt
+from logheat.measures import PiecewiseLinear, _log_gauss_mass, quantile_1d
 
 from conftest import random_mixture, random_perturbed
 
@@ -70,6 +74,21 @@ class TestConstruction:
         xs = np.linspace(-15, 15, 200001)
         dens = np.exp(-pm.potential(xs) - pm.log_normalizer)
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-8)
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", [math.nan, 0.5]), ("weights", [math.inf, 0.5]),
+        ("means", [[0.0], [math.inf]]), ("means", [[math.nan], [1.0]]),
+        ("variances", [1.0, math.nan]), ("variances", [1.0, math.inf]),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        good = {"weights": [0.5, 0.5], "means": [[0.0], [1.0]], "variances": [1.0, 1.0]}
+        bad = dict(good, **{field: np.array(value)})
+        with pytest.raises(ValidationError, match="finite"):
+            GaussianMixture(dim=1, **bad)
+        comps = list(zip(*(bad[k] for k in ("weights", "means", "variances"))))
+        with pytest.raises(ValidationError):
+            make_gaussian_mixture(comps)
 
 
 class TestPiecewiseLinear:
@@ -187,6 +206,63 @@ class TestDilate:
             expect = log_density(pm, [x / c]) - math.log(c)
             assert log_density(d, [x]) == pytest.approx(expect, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    def test_perturbed_closed_form_matches_rebuild(self, seed, log10_c):
+        pm = random_perturbed(np.random.default_rng(seed))
+        c = 10.0**log10_c
+        got = dilate(pm, c)
+        want = make_perturbed(
+            pm.alpha / (c * c), pm.v_extra.knots * c, pm.v_extra.slopes / c,
+            pm.h.knots * c, pm.h.slopes / c, lip=pm.lip / c,
+        )
+        close = dict(rtol=1e-12, atol=1e-12)
+        for name in ("panel_edges", "panel_a", "panel_b"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), **close)
+        for name in ("alpha", "lip", "log_normalizer"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), **close)
+        for pl in ("v_extra", "h"):
+            for name in ("knots", "slopes", "knot_values"):
+                np.testing.assert_allclose(
+                    getattr(getattr(got, pl), name), getattr(getattr(want, pl), name), **close
+                )
+        zs = c * np.array([[-1.5], [-0.2], [0.4], [1.7]])
+        for a, b in zip(_tilt(got, zs, 0.5 * c * c), _tilt(want, zs, 0.5 * c * c)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * c * c)
+
+
+def _log_gauss_mass_mp(a, b):
+    """log(Phi(b) - Phi(a)) at 60 digits; a right-hand interval is reflected
+    so that the two CDF values are not both within 1e-60 of 1."""
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        if a + b > 0:
+            a, b = -b, -a
+        return float(mpmath.log(mpmath.ncdf(b) - mpmath.ncdf(a)))
+
+
+_INTERVALS = [
+    # left of 0
+    (-1.0, -0.5), (-5.0, -4.999), (-3.0, -1e-3), (-40.0, -39.0), (-1e3, -999.0),
+    # right of 0
+    (0.5, 1.0), (4.999, 5.0), (1e-3, 3.0), (39.0, 40.0), (999.0, 1e3),
+    # straddling 0
+    (-5e-4, 5e-4), (-1.0, 2.0), (-2.0, 1.0), (-10.0, 10.0), (-0.3, 30.0), (-30.0, 0.3),
+    # half-infinite and doubly infinite
+    (-math.inf, -40.0), (-math.inf, 0.0), (-math.inf, 3.0), (-math.inf, 1e-3),
+    (2.0, math.inf), (-1.0, math.inf), (40.0, math.inf), (-math.inf, math.inf),
+]
+
+
+class TestLogGaussMass:
+    def test_matches_60_digit_oracle(self):
+        a, b = np.array(_INTERVALS).T
+        got = _log_gauss_mass(a, b)
+        want = np.array([_log_gauss_mass_mp(lo, hi) for lo, hi in _INTERVALS])
+        # relative error, or absolute where |value| < 1
+        err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+        assert np.max(err) <= 1e-12, _INTERVALS[int(np.argmax(err))]
+
 
 class TestSampling:
     def test_gaussian_mean(self):
@@ -196,6 +272,10 @@ class TestSampling:
     def test_dirac(self):
         a = AtomicMeasure(dim=1, weights=np.array([1.0]), locations=np.array([[0.0]]))
         assert np.all(sample(a, 50, seed=0) == 0.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            sample(standard_gaussian(1), 10, seed=-1)
 
     def test_deterministic(self):
         g = make_gaussian_mixture([(0.5, [0.0], 1.0), (0.5, [3.0], 0.5)])
@@ -222,6 +302,25 @@ class TestCdfQuantile:
         mean, _ = mean_variance_1d(pm)
         assert cdf_1d(pm, [mean])[0] == pytest.approx(0.5, abs=1e-6)  # symmetric
 
+    def test_perturbed_cdf_matches_panel_loop(self, rng):
+        # reference: each panel's truncated-Gaussian mass below x, panel by panel
+        for _ in range(20):
+            pm = random_perturbed(rng)
+            x = np.concatenate([[-np.inf, np.inf], pm.panel_edges[1:-1],
+                                rng.uniform(-6.0, 6.0, size=200)])
+            want = np.zeros(x.size)
+            C, s = pm.alpha, 1.0 / math.sqrt(pm.alpha)
+            for p in range(pm.panel_a.size):
+                B, A = -pm.panel_b[p], -pm.panel_a[p]
+                lo, hi = pm.panel_edges[p], pm.panel_edges[p + 1]
+                up = np.clip(x, lo, hi)
+                mask = up > lo
+                logm = (A + B * B / (2.0 * C) + 0.5 * math.log(2.0 * math.pi / C)
+                        + _log_gauss_mass((lo - B / C) / s, (up[mask] - B / C) / s))
+                want[mask] += np.exp(logm - pm.log_normalizer)
+            np.testing.assert_allclose(cdf_1d(pm, x), np.clip(want, 0.0, 1.0),
+                                       rtol=0, atol=4 * np.finfo(float).eps)
+
     def test_quantile_roundtrip(self):
         pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[-0.5, 0.5])
         u = np.array([0.1, 0.5, 0.9])
@@ -240,6 +339,13 @@ class TestMoments:
         m2 = np.trapezoid(dens * (xs - m1) ** 2, xs) / m0
         assert mean == pytest.approx(m1, abs=1e-9)
         assert var == pytest.approx(m2, abs=1e-9)
+
+    def test_mixture_variance_is_centred(self):
+        # sum w (v + m^2) - mean^2 cancels to 0.0 here
+        g = make_gaussian_mixture([(0.5, [1e8], 1.0), (0.5, [1e8 + 1.0], 1.0)])
+        mean, var = mean_variance_1d(g)
+        assert mean == 1e8 + 0.5
+        assert var == pytest.approx(1.25, rel=1e-12)
 
 
 class TestJson:
@@ -261,6 +367,17 @@ class TestJson:
         m = measure_from_json({"type": "counterexample", "psi": "linear",
                                "coefficient": 1.0, "truncation": 30})
         assert m.locations[:4].tolist() == [0.0, 1.0, 3.0, 6.0]
+
+    @pytest.mark.parametrize("obj", [
+        {"type": "gaussian_mixture", "components": [[1.0, [0.0]]]},
+        {"type": "gaussian_mixture", "components": [[1.0, [0.0], 1.0, 2.0]]},
+        {"type": "gaussian_mixture"},
+        {"type": "atomic", "atoms": [[1.0]]},
+        {"type": "atomic", "atoms": {"w": 1.0}},
+    ])
+    def test_malformed_entries(self, obj):
+        with pytest.raises(ValidationError, match="entries"):
+            measure_from_json(obj)
 
     def test_unknown_type(self):
         with pytest.raises(ValidationError):
