@@ -29,7 +29,7 @@ def main():
     zs = np.linspace(-3.0, 5.0, 33)
     for t in (0.3, 0.25 * t_star, t_star):
         lower, upper = thm2_envelope(res.alpha, res.lip, t)
-        lams = np.array([log_hessian_heat(mix, [z], t)[0, 0] for z in zs])
+        lams = log_hessian_heat(mix, zs[:, None], t)[:, 0, 0]
         print(f"\n t = {t:8.3f}   envelope [{lower:9.4f}, {upper:9.4f}]")
         print(f"   curvature range over z: [{lams.min():9.4f}, {lams.max():9.4f}]")
         print(f"   log-concave everywhere: {bool(np.min(lams) >= -1e-9)}")

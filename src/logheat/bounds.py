@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .measures import GaussianMixture, _logsumexp
+from .measures import GaussianMixture, _mixture_posterior, _points
 
 __all__ = [
     "PerturbationParams",
@@ -167,42 +167,29 @@ def lsi_transfer(C: float, lip_map: float) -> float:
     return lip_map * lip_map * C
 
 
-def _mixture_potentials(mixture: GaussianMixture, x: np.ndarray):
-    """Mixture written as sum_i a_i e^{-U_i} with U_i = |x-m_i|^2 / sigma_i^2
-    (component covariance variances[i] = sigma_i^2 / 2)."""
-    sigma2 = 2.0 * mixture.variances
-    diff = x[None, :] - mixture.means  # (k, d)
-    U = np.sum(diff * diff, axis=1) / sigma2
-    gradU = 2.0 * diff / sigma2[:, None]
-    log_a = np.log(mixture.weights) - 0.5 * mixture.dim * np.log(math.pi * sigma2)
-    return U, gradU, log_a, sigma2
-
-
 def mixture_hessian_lower(mixture: GaussianMixture, x) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise lower bounds for -Hess log(mixture): (refined, crude).
 
+    The mixture is sum_i a_i e^{-U_i} with U_i = |x-m_i|^2 / sigma_i^2
+    (component variance sigma_i^2 / 2), whose logits and gradients
+    grad U_i = -(score of component i) come from the mixture posterior.
     All component potentials must be strongly convex, which holds for any
     Gaussian mixture; the common modulus is K = 2 / max_i sigma_i^2.
+    ``x`` of shape (dim,) gives two (dim, dim) matrices; a batch of shape
+    (n, dim) gives two (n, dim, dim) arrays.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != mixture.dim:
-        raise ValidationError(f"point has size {x.size}, expected dim {mixture.dim}")
-    U, gradU, log_a, sigma2 = _mixture_potentials(mixture, x)
-    K = 2.0 / float(np.max(sigma2))
-    d = mixture.dim
-    l = log_a - U
-    r = np.exp(l - _logsumexp(l))
-    refined = K * np.eye(d)
-    crude = K * np.eye(d)
-    k = l.size
-    for i in range(k):
-        for j in range(i):
-            dg = gradU[i] - gradU[j]
-            outer = np.outer(dg, dg)
-            refined = refined - (r[i] * r[j]) * outer
-            # 1/(2 + q + 1/q) = sech^2((l_i - l_j)/2)/4 with q = e^{l_i - l_j},
-            # computed in logs to survive widely separated components
-            half = 0.5 * abs(l[i] - l[j])
-            log_cosh = half + math.log1p(math.exp(-2.0 * half)) - math.log(2.0)
-            crude = crude - outer * math.exp(-2.0 * log_cosh) / 4.0
+    xs, single = _points(mixture, x)
+    l, r, g, _ = _mixture_posterior(mixture, xs)
+    i, j = np.tril_indices(l.shape[1], -1)  # the pairs j < i
+    dg = g[:, i, :] - g[:, j, :]
+    outer = dg[:, :, :, None] * dg[:, :, None, :]
+    # 1/(2 + q + 1/q) = sech^2((l_i - l_j)/2)/4 with q = e^{l_i - l_j},
+    # computed in logs to survive widely separated components
+    half = 0.5 * np.abs(l[:, i] - l[:, j])
+    log_cosh = half + np.log1p(np.exp(-2.0 * half)) - math.log(2.0)
+    K = np.eye(mixture.dim) / float(np.max(mixture.variances))
+    refined = K - np.einsum("np,npab->nab", r[:, i] * r[:, j], outer)
+    crude = K - np.einsum("np,npab->nab", np.exp(-2.0 * log_cosh) / 4.0, outer)
+    if single:
+        return refined[0], crude[0]
     return refined, crude

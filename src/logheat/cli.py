@@ -101,6 +101,17 @@ def _measure_params(measure) -> tuple[float, float] | None:
     return None
 
 
+def _scan_grid(measure, lo: float | None, hi: float | None, points: int) -> np.ndarray:
+    """``points`` equally spaced points on [lo, hi]; a missing end defaults to
+    the mean -/+ 6 standard deviations of the 1D measure."""
+    if points < 1:
+        raise ValidationError(f"--points must be at least 1, got {points}")
+    mean, var = ms.mean_variance_1d(measure)
+    half = 6.0 * math.sqrt(max(var, 1e-12))
+    return np.linspace(mean - half if lo is None else lo, mean + half if hi is None else hi,
+                       points)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -138,11 +149,7 @@ def _cmd_hessian_scan(args) -> int:
     measure = _load_measure(args.measure)
     if measure.dim != 1:
         raise ValidationError("hessian-scan supports 1D measures")
-    mean, var = ms.mean_variance_1d(measure)
-    half = 6.0 * math.sqrt(max(var, 1e-12))
-    z_min = args.z_min if args.z_min is not None else mean - half
-    z_max = args.z_max if args.z_max is not None else mean + half
-    zs = np.linspace(z_min, z_max, args.points)
+    zs = _scan_grid(measure, args.z_min, args.z_max, args.points)
     params = _measure_params(measure)
     upper_env = 1.0 / args.t
     lower_env = -math.inf
@@ -150,25 +157,22 @@ def _cmd_hessian_scan(args) -> int:
         alpha, lip = params
         if alpha * args.t + 1.0 > 0:
             lower_env, upper_env = bd.thm2_envelope(alpha, lip, args.t)
-    rows = []
-    for z in zs:
-        h = log_hessian_heat(measure, [z], args.t)
-        lam = float(h[0, 0])
-        rows.append([z, lam, lam, lower_env, upper_env, lam - lower_env, upper_env - lam])
+    lam = log_hessian_heat(measure, zs[:, None], args.t)[:, 0, 0]
+    rows = np.column_stack([zs, lam, lam, np.full_like(lam, lower_env),
+                            np.full_like(lam, upper_env), lam - lower_env, upper_env - lam])
     header = ["z", "lambda_min", "lambda_max", "lower_envelope", "upper_envelope",
               "slack_lower", "slack_upper"]
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "hessian_scan.csv")
     _write_csv(csv_path, header, rows)
-    vals = np.array([r[1] for r in rows])
     report = {
         "command": "hessian-scan",
         "t": args.t,
         "points": args.points,
         "csv": csv_path,
-        "min_curvature": float(np.min(vals)),
-        "max_curvature": float(np.max(vals)),
+        "min_curvature": float(np.min(lam)),
+        "max_curvature": float(np.max(lam)),
         "lower_envelope": lower_env,
         "upper_envelope": upper_env,
     }
@@ -259,11 +263,14 @@ def _cmd_decompose(args) -> int:
             }
         _emit(report, args.out, "decompose.json")
         return 0
-    coeffs = [float(c) for c in args.coeffs.split(",")]
+    try:
+        coeffs = [float(c) for c in args.coeffs.split(",")]
+    except ValueError:
+        raise ValidationError(f"--coeffs must be comma-separated numbers, got {args.coeffs!r}")
     poly = np.polynomial.Polynomial(coeffs)
     dec = lemma4_decompose(lambda x: float(poly(x)), args.alpha, args.beta, args.radius)
     g = dec.grid
-    v2 = np.array([(dec.V(x + 1e-4) - 2 * dec.V(x) + dec.V(x - 1e-4)) / 1e-8 for x in g])
+    v2 = (dec.V(g + 1e-4) - 2 * dec.V(g) + dec.V(g - 1e-4)) / 1e-8
     hp = np.diff(np.asarray(dec.H(g), dtype=float)) / np.diff(g)
     report = {
         "command": "decompose",
@@ -283,21 +290,14 @@ def _cmd_mixture(args) -> int:
     measure = _load_measure(args.measure)
     if not isinstance(measure, GaussianMixture) or measure.dim != 1:
         raise ValidationError("mixture expects a 1D gaussian_mixture")
-    mean, var = ms.mean_variance_1d(measure)
-    half = 6.0 * math.sqrt(var)
-    x_min = args.x_min if args.x_min is not None else mean - half
-    x_max = args.x_max if args.x_max is not None else mean + half
-    xs = np.linspace(x_min, x_max, args.points)
-    rows = []
-    for x in xs:
-        actual = float(-ms.log_hessian(measure, [x])[0, 0])
-        refined, crude = bd.mixture_hessian_lower(measure, [x])
-        rows.append([x, actual, float(refined[0, 0]), float(crude[0, 0])])
+    xs = _scan_grid(measure, args.x_min, args.x_max, args.points)
+    refined, crude = bd.mixture_hessian_lower(measure, xs[:, None])
+    arr = np.column_stack([xs, -ms.log_hessian(measure, xs[:, None])[:, 0, 0],
+                           refined[:, 0, 0], crude[:, 0, 0]])
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "mixture_scan.csv")
-    _write_csv(csv_path, ["x", "curvature", "refined_lower", "crude_lower"], rows)
-    arr = np.array(rows)
+    _write_csv(csv_path, ["x", "curvature", "refined_lower", "crude_lower"], arr)
     report = {
         "command": "mixture",
         "csv": csv_path,

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SearchError, ValidationError
-from .heatflow import _tilt, log_hessian_heat, tilted_moments
+from .heatflow import log_hessian_heat, tilted_moments
 from .measures import AtomicMeasure, CounterexampleMeasure, _logsumexp
 from .numerics import find_root_bisect
 
@@ -199,7 +199,7 @@ def two_atom_analysis(x0: float, w0: float, w1: float, t: float) -> TwoAtomRepor
     a = -2.0 * abs(x0)
     b = 3.0 * abs(x0)
     zs = np.linspace(a, b, 601)
-    vals = (1.0 - _tilt(mu, zs[:, None], t)[2][:, 0, 0] / t) / t
+    vals = log_hessian_heat(mu, zs[:, None], t)[:, 0, 0]
     k = int(np.argmin(vals))
     lo = zs[max(k - 1, 0)]
     hi = zs[min(k + 1, zs.size - 1)]

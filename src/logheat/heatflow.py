@@ -21,9 +21,10 @@ from .measures import (
     CounterexampleMeasure,
     GaussianMixture,
     PerturbedLogConcave1D,
-    _atom_data_1d,
     _logsumexp,
     _panel_moments,
+    _points,
+    _sorted_atoms_1d,
 )
 
 __all__ = [
@@ -57,23 +58,17 @@ class TiltedMoments:
 # ---------------------------------------------------------------------------
 
 def _tilt_mixture(mu: GaussianMixture, zs: np.ndarray, t: float):
-    """Component k tilts to N(m~_k, s~_k I) with posterior weight pi_k; the
-    covariance is pooled about the tilted mean."""
+    """The posterior of the smoothed mixture mu * gamma_t at z: component k
+    tilts to N(m_k - s_k g_k, (s_k t / (s_k + t)) I), with g_k its component
+    score, and has weight pi_k; the covariance is pooled about the tilted mean."""
     s = mu.variances
-    st = s + t
-    diff = zs[:, None, :] - mu.means[None, :, :]  # (n, k, d)
-    logc = (
-        np.log(mu.weights)
-        - 0.5 * mu.dim * (_LOG_2PI + np.log(st))
-        - 0.5 * np.sum(diff * diff, axis=2) / st
-    )
-    log_mass = _logsumexp(logc, axis=1)
-    pi = np.exp(logc - log_mass[:, None])
-    m_tilde = mu.means[None, :, :] + (s / st)[None, :, None] * diff
+    smoothed = ms._with_fields(mu, variances=s + t)  # mu * gamma_t, without re-validation
+    _, pi, g, log_mass = ms._mixture_posterior(smoothed, zs)
+    m_tilde = mu.means[None, :, :] - s[:, None] * g
     mean = np.einsum("nk,nki->ni", pi, m_tilde)
     c = m_tilde - mean[:, None, :]
     cov = np.einsum("nk,nki,nkj->nij", pi, c, c)
-    cov += (pi @ (s * t / st))[:, None, None] * np.eye(mu.dim)
+    cov += (pi @ (s * t / (s + t)))[:, None, None] * np.eye(mu.dim)
     return log_mass, mean, cov
 
 
@@ -113,11 +108,10 @@ _TILT = {
 
 
 def _tilt(measure, zs: np.ndarray, t: float):
-    """(log_mass, mean, cov) of mu_{z,t} at each row of zs, shape (n, dim)."""
+    """(log_mass, mean, cov) of mu_{z,t} at each row of zs, shape (n, dim),
+    as checked by ``_points``."""
     if not 0 < t < math.inf:
         raise ValidationError(f"t must be positive and finite, got {t}")
-    if not np.isfinite(zs).all():
-        raise ValidationError("tilt points must be finite")
     kernel = _TILT.get(type(measure))
     if kernel is None:
         raise CapabilityError(f"no tilted moments for {type(measure).__name__}")
@@ -125,29 +119,13 @@ def _tilt(measure, zs: np.ndarray, t: float):
     return log_mass, mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
 
 
-def _points(measure, x) -> tuple[np.ndarray, bool]:
-    """x as a batch of shape (n, dim), and whether it was a single point
-    (shape (dim,), or a scalar in 1D)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    zs = x.reshape(1, -1) if single else x
-    if zs.ndim != 2 or zs.shape[1] != measure.dim:
-        raise ValidationError(f"points have shape {x.shape}, expected dim {measure.dim}")
-    return zs, single
-
-
-def _point(measure, z) -> np.ndarray:
-    """One point as a batch of shape (1, dim)."""
-    z = np.asarray(z, dtype=float).reshape(1, -1)
-    if z.shape[1] != measure.dim:
-        raise ValidationError(f"point has size {z.shape[1]}, expected dim {measure.dim}")
-    return z
-
-
 def tilted_moments(measure, z, t: float) -> TiltedMoments:
-    """Mean/covariance of mu_{z,t}; exact for mixtures and atoms, panel-exact
-    for perturbed 1D densities."""
-    log_mass, mean, cov = _tilt(measure, _point(measure, z), t)
+    """Mean/covariance of mu_{z,t} at one point z of shape (dim,); exact for
+    mixtures and atoms, panel-exact for perturbed 1D densities."""
+    zs, single = _points(measure, z)
+    if not single:
+        raise ValidationError(f"tilted_moments takes one point, got shape {np.shape(z)}")
+    log_mass, mean, cov = _tilt(measure, zs, t)
     return TiltedMoments(mean=mean[0], covariance=cov[0], mass_log=float(log_mass[0]))
 
 
@@ -162,9 +140,14 @@ def tilted_log_mass(measure, z, t: float):
 
 
 def log_hessian_heat(measure, z, t: float) -> np.ndarray:
-    """-Hess log(mu * gamma_t)(z) via (1/t)(I - Cov(mu_{z,t})/t)."""
-    cov = _tilt(measure, _point(measure, z), t)[2][0]
-    return (np.eye(measure.dim) - cov / t) / t
+    """-Hess log(mu * gamma_t)(z) via (1/t)(I - Cov(mu_{z,t})/t).
+
+    ``z`` of shape (dim,) gives a (dim, dim) matrix; a batch of shape
+    (n, dim) gives (n, dim, dim).
+    """
+    zs, single = _points(measure, z)
+    h = (np.eye(measure.dim) - _tilt(measure, zs, t)[2] / t) / t
+    return h[0] if single else h
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +195,15 @@ def marginal_stats_1d(measure, t: float, xs: np.ndarray):
 # 1D Wasserstein distance and the covariance comparison lemma
 # ---------------------------------------------------------------------------
 
-def _is_atomic_like(measure) -> bool:
-    return isinstance(measure, (AtomicMeasure, CounterexampleMeasure))
-
-
-def _sorted_atoms(measure):
-    xs, lw = _atom_data_1d(measure)
-    order = np.argsort(xs)
-    w = np.exp(lw - _logsumexp(lw))
-    return xs[order], w[order]
-
-
 def wasserstein2_1d(mu, nu) -> float:
     """W_2 via the quantile coupling: sqrt(int_0^1 |F^-1 - G^-1|^2 du)."""
     for m in (mu, nu):
         if getattr(m, "dim", None) != 1:
             raise CapabilityError("wasserstein2_1d supports 1D measures only")
-    if _is_atomic_like(mu) and _is_atomic_like(nu):
-        x1, w1 = _sorted_atoms(mu)
-        x2, w2 = _sorted_atoms(nu)
+    atomic = (AtomicMeasure, CounterexampleMeasure)
+    if isinstance(mu, atomic) and isinstance(nu, atomic):
+        x1, w1 = _sorted_atoms_1d(mu)
+        x2, w2 = _sorted_atoms_1d(nu)
         cuts = np.unique(np.concatenate([np.cumsum(w1), np.cumsum(w2), [0.0, 1.0]]))
         cuts = np.clip(cuts, 0.0, 1.0)
         mids = 0.5 * (cuts[:-1] + cuts[1:])

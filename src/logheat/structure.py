@@ -119,11 +119,6 @@ def lemma4_decompose(
                          lip_cert=lip_cert, grid=grid)
 
 
-def _refined_scalar(mixture: GaussianMixture, x: float) -> float:
-    refined, _ = mixture_hessian_lower(mixture, [x])
-    return float(refined[0, 0])
-
-
 def analyze_mixture_1d(
     mixture: GaussianMixture, radius_cap: float | None = None
 ) -> MixtureAnalysis | Infeasible:
@@ -149,7 +144,11 @@ def analyze_mixture_1d(
     step = sigma_max / 50.0
     xs = np.arange(0.0, grid_half + step, step)
     xs = np.unique(np.concatenate([-xs[::-1], xs]))
-    vals = np.array([_refined_scalar(mixture, float(x)) for x in xs])
+    # cross terms decay exponentially beyond the mean span; the four points
+    # past the search grid spot-check the monotone tail
+    tail = grid_half + np.array([5.0, 10.0]) * sigma_max
+    refined, _ = mixture_hessian_lower(mixture, np.concatenate([xs, tail, -tail])[:, None])
+    vals, tail_vals = refined[:xs.size, 0, 0], refined[xs.size:, 0, 0]
 
     target = 0.5 * K
     bad = np.abs(xs)[vals < target]
@@ -162,14 +161,12 @@ def analyze_mixture_1d(
             reason=f"curvature bound below K/2 out to the radius cap {radius_cap}",
             radius_cap=radius_cap,
         )
-    # cross terms decay exponentially beyond the mean span; spot-check the
-    # monotone tail past the search grid
-    for x in (grid_half + 5.0 * sigma_max, grid_half + 10.0 * sigma_max):
-        if _refined_scalar(mixture, x) < target or _refined_scalar(mixture, -x) < target:
-            return Infeasible(
-                reason=f"curvature bound still below K/2 at |x| = {x}",
-                radius_cap=radius_cap,
-            )
+    low = np.concatenate([tail, tail])[tail_vals < target]
+    if low.size:
+        return Infeasible(
+            reason=f"curvature bound still below K/2 at |x| = {float(low.min())}",
+            radius_cap=radius_cap,
+        )
     beta = max(0.0, -float(np.min(vals)))
     alpha = target
     lip = 2.0 * (alpha + beta) * radius

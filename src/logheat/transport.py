@@ -184,6 +184,8 @@ def pushforward_validate(
     """Push Gaussian samples through the flow and compare with the target."""
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n_samples)
     y = np.sort(flow(x))

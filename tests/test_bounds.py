@@ -194,6 +194,25 @@ class TestLsiTransfer:
             lsi_transfer(-1.0, 1.0)
 
 
+def _pairwise_lower(mixture, x):
+    """(refined, crude) at one point by the explicit sum over component pairs,
+    in the paper's convention U_i = |x - m_i|^2 / sigma_i^2, sigma_i^2 = 2 v_i."""
+    sigma2 = 2.0 * mixture.variances
+    diff = x[None, :] - mixture.means
+    l = (np.log(mixture.weights) - 0.5 * mixture.dim * np.log(math.pi * sigma2)
+         - np.sum(diff * diff, axis=1) / sigma2)
+    grad = 2.0 * diff / sigma2[:, None]
+    r = np.exp(l - np.max(l)) / np.sum(np.exp(l - np.max(l)))
+    K = 2.0 / float(np.max(sigma2))
+    refined, crude = K * np.eye(mixture.dim), K * np.eye(mixture.dim)
+    for i in range(l.size):
+        for j in range(i):
+            outer = np.outer(grad[i] - grad[j], grad[i] - grad[j])
+            refined = refined - r[i] * r[j] * outer
+            crude = crude - outer / (4.0 * math.cosh(0.5 * (l[i] - l[j])) ** 2)
+    return refined, crude
+
+
 class TestMixtureHessianLower:
     def pair(self):
         # paper-convention sigma^2 = 1 means component variance 1/2
@@ -224,6 +243,20 @@ class TestMixtureHessianLower:
                 refined, crude = mixture_hessian_lower(m, [x])
                 assert actual >= refined[0, 0] - 1e-8
                 assert refined[0, 0] >= crude[0, 0] - 1e-10
+
+    def test_batch_matches_pairwise_reference(self, rng):
+        for dim in (1, 2):
+            for _ in range(4):
+                m = random_mixture(rng, dim=dim, max_components=4)
+                xs = rng.uniform(-4.0, 4.0, size=(9, dim))
+                refined, crude = mixture_hessian_lower(m, xs)
+                assert refined.shape == crude.shape == (9, dim, dim)
+                for k, x in enumerate(xs):
+                    one = mixture_hessian_lower(m, x)
+                    ref = _pairwise_lower(m, x)
+                    for got, point, want in zip((refined[k], crude[k]), one, ref):
+                        np.testing.assert_allclose(got, point, rtol=1e-12, atol=1e-12)
+                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_dim2_matrices(self, rng):
         m = random_mixture(rng, dim=2, max_components=3)

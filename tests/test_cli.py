@@ -212,6 +212,23 @@ class TestReverseSde:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestInvalidArguments:
+    @pytest.mark.parametrize("argv", [
+        ["hessian-scan", "--measure", "{mix}", "--t", "1", "--points", "0"],
+        ["hessian-scan", "--measure", "{mix}", "--t", "1", "--points", "-3"],
+        ["mixture", "--measure", "{mix}", "--points", "0"],
+        ["transport", "--measure", "{gauss}", "--points", "9", "--samples", "0"],
+        ["decompose", "--coeffs", "0,0,x"],
+    ], ids=["scan-points-0", "scan-points-neg", "mixture-points-0", "transport-samples-0",
+            "decompose-bad-coeff"])
+    def test_exit_2(self, argv, tmp_path, capsys, mixture_file):
+        gauss = tmp_path / "gauss.json"
+        gauss.write_text(json.dumps({"type": "gaussian_mixture", "components": [[1, [0], 1]]}))
+        argv = [a.format(mix=mixture_file, gauss=gauss) for a in argv] + ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path, capsys, mixture_file):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -13,6 +13,7 @@ from logheat import (
     GaussianMixture,
     NumericalError,
     ValidationError,
+    build_counterexample,
     dilate,
     lemma1_check,
     log_density,
@@ -289,6 +290,11 @@ class TestTiltValidation:
             with pytest.raises(ValidationError, match="finite"):
                 log_hessian_heat(m, [0.0], math.inf)
 
+    def test_tilted_moments_rejects_batch(self):
+        for zs in (np.zeros((1, 1)), np.zeros((3, 1))):
+            with pytest.raises(ValidationError, match="one point"):
+                tilted_moments(standard_gaussian(1), zs, 1.0)
+
 
 class TestBatchedOu:
     def test_ou_batch_matches_pointwise(self, rng):
@@ -303,6 +309,17 @@ class TestBatchedOu:
                     assert val[k] == pytest.approx(v1, rel=1e-13, abs=1e-13)
                     np.testing.assert_allclose(grad[k], g1, rtol=1e-13, atol=1e-13)
                     np.testing.assert_allclose(hess[k], h1, rtol=1e-13, atol=1e-13)
+
+    def test_log_hessian_heat_batch_matches_pointwise(self, rng):
+        cex = build_counterexample(lambda x: 0.1 * x, truncation=20)
+        for m in _ou_measures(rng) + [cex]:
+            zs = rng.uniform(-4.0, 4.0, size=(9, m.dim))
+            for t in (0.05, 0.7, 3.0):
+                h = log_hessian_heat(m, zs, t)
+                assert h.shape == (9, m.dim, m.dim)
+                for k, z in enumerate(zs):
+                    np.testing.assert_allclose(h[k], log_hessian_heat(m, z, t),
+                                               rtol=1e-12, atol=1e-12)
 
     def test_marginal_stats_match_pointwise(self, rng):
         for m in _ou_measures(rng):

@@ -21,6 +21,7 @@ from logheat import (
     make_perturbed,
     mean_variance_1d,
     measure_from_json,
+    mixture_hessian_lower,
     sample,
     score,
     standard_gaussian,
@@ -148,6 +149,36 @@ class TestLogDerivatives:
             assert log_hessian(g1, [x])[0, 0] == pytest.approx(
                 log_hessian(g2, [x])[0, 0], abs=1e-13
             )
+
+
+class TestBatchedDensity:
+    """A batch of shape (n, dim) gives the pointwise values, row by row."""
+
+    def test_batch_matches_pointwise(self, rng):
+        cases = [random_mixture(rng) for _ in range(3)]
+        cases += [random_mixture(rng, dim=2) for _ in range(3)]
+        cases += [random_perturbed(rng) for _ in range(3)]
+        for m in cases:
+            xs = rng.uniform(-4.0, 4.0, size=(9, m.dim))
+            val, grad, hess = log_density(m, xs), score(m, xs), log_hessian(m, xs)
+            assert val.shape == (9,) and grad.shape == (9, m.dim)
+            assert hess.shape == (9, m.dim, m.dim)
+            for k, x in enumerate(xs):
+                assert val[k] == pytest.approx(log_density(m, x), rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(grad[k], score(m, x), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(hess[k], log_hessian(m, x), rtol=1e-12, atol=1e-12)
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("x", [[math.nan], [math.inf], [-math.inf], [[0.0], [math.nan]]],
+                             ids=["nan", "+inf", "-inf", "batch-row"])
+    def test_rejected(self, x):
+        mix = make_gaussian_mixture([(0.5, [-1.0], 1.0), (0.5, [1.0], 0.5)])
+        calls = [(f, m) for f in (log_density, score, log_hessian)
+                 for m in (mix, make_perturbed(1.0))]
+        for f, m in calls + [(mixture_hessian_lower, mix)]:
+            with pytest.raises(ValidationError, match="finite"):
+                f(m, x)
 
 
 class TestConvolution:

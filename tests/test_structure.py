@@ -13,8 +13,35 @@ from logheat import (
     log_concavity_time,
     log_hessian_heat,
     make_gaussian_mixture,
+    mixture_hessian_lower,
     thm2_envelope,
 )
+
+
+def _analyze_pointwise(mixture, radius_cap=None):
+    """analyze_mixture_1d with one mixture_hessian_lower call per grid point."""
+    K = 1.0 / float(np.max(mixture.variances))
+    sigma_max = float(np.sqrt(np.max(mixture.variances)))
+    grid_half = float(np.max(np.abs(mixture.means))) + 20.0 * sigma_max
+    if radius_cap is None:
+        radius_cap = grid_half
+    step = sigma_max / 50.0
+    xs = np.arange(0.0, grid_half + step, step)
+    xs = np.unique(np.concatenate([-xs[::-1], xs]))
+    refined = lambda x: float(mixture_hessian_lower(mixture, [x])[0][0, 0])
+    vals = np.array([refined(x) for x in xs])
+    bad = np.abs(xs)[vals < 0.5 * K]
+    radius = float(np.max(bad)) + step if bad.size else 0.0
+    if radius > radius_cap:
+        return Infeasible(reason=f"curvature bound below K/2 out to the radius cap {radius_cap}",
+                          radius_cap=radius_cap)
+    for x in (grid_half + 5.0 * sigma_max, grid_half + 10.0 * sigma_max):
+        if refined(x) < 0.5 * K or refined(-x) < 0.5 * K:
+            return Infeasible(reason=f"curvature bound still below K/2 at |x| = {x}",
+                              radius_cap=radius_cap)
+    beta = max(0.0, -float(np.min(vals)))
+    return MixtureAnalysis(alpha=0.5 * K, lip=2.0 * (0.5 * K + beta) * radius,
+                           radius=radius, beta=beta)
 
 
 class TestLemma4Decompose:
@@ -87,6 +114,24 @@ class TestAnalyzeMixture:
         for z in np.linspace(-5, 8, 41):
             lam = log_hessian_heat(g, [z], t_star)[0, 0]
             assert lam >= -1e-6
+
+    def test_matches_pointwise_reference(self, rng):
+        cases = []
+        for _ in range(6):
+            k = int(rng.integers(2, 5))
+            cases.append(make_gaussian_mixture(
+                [(rng.uniform(0.2, 1.0), [rng.uniform(-4.0, 4.0)], rng.uniform(0.2, 2.0))
+                 for _ in range(k)]))
+        cases.append(make_gaussian_mixture([(0.5, [0.0], 0.5), (0.5, [10.0], 0.5)]))
+        for m, cap in [(c, None) for c in cases] + [(cases[-1], 1.0)]:
+            got, want = analyze_mixture_1d(m, radius_cap=cap), _analyze_pointwise(m, cap)
+            assert type(got) is type(want)
+            if isinstance(want, Infeasible):
+                assert got == want
+                continue
+            assert got.alpha == want.alpha and got.radius == want.radius
+            assert got.beta == pytest.approx(want.beta, rel=1e-12, abs=1e-12)
+            assert got.lip == pytest.approx(want.lip, rel=1e-12, abs=1e-12)
 
     def test_radius_cap(self):
         g = make_gaussian_mixture([(0.5, [0.0], 0.5), (0.5, [10.0], 0.5)])
