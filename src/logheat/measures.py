@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import CapabilityError, NumericalError, ValidationError
 
@@ -64,6 +63,8 @@ def _log_gauss_mass(a, b):
     Each interval is first reflected so that its centre is <= 0: then
     Phi(lo) <= 1/2, and the difference never cancels two numbers close to 1.
     """
+    from scipy.special import log_ndtr
+
     a, b = np.asarray(a, float), np.asarray(b, float)
     flip = a > -b  # a + b > 0, without inf - inf
     lo = np.where(flip, -b, a)
@@ -532,12 +533,13 @@ def dilate(measure: Measure, c: float):
     if not 0 < c < math.inf:
         raise ValidationError("dilation factor must be positive and finite")
     if isinstance(measure, GaussianMixture):
-        return GaussianMixture(
-            dim=measure.dim,
-            weights=measure.weights,
-            means=measure.means * c,
-            variances=measure.variances * c * c,
-        )
+        # a field copy: only the scaled means and variances can leave the
+        # valid range, by overflow or underflow
+        means, variances = measure.means * c, measure.variances * c * c
+        if not (np.all(np.isfinite(means)) and np.all((variances > 0) & (variances < math.inf))):
+            raise ValidationError(f"dilation by {c!r} takes the mixture's means or "
+                                  "variances out of the finite positive range")
+        return _with_fields(measure, means=means, variances=variances)
     if isinstance(measure, AtomicMeasure):
         return AtomicMeasure(
             dim=measure.dim, weights=measure.weights, locations=measure.locations * c
@@ -601,6 +603,8 @@ def cdf_1d(measure, x) -> np.ndarray:
     if isinstance(measure, GaussianMixture):
         if measure.dim != 1:
             raise CapabilityError("1D only")
+        from scipy.special import ndtr
+
         z = (x[:, None] - measure.means[None, :, 0]) / np.sqrt(measure.variances)[None, :]
         return ndtr(z) @ measure.weights
     if isinstance(measure, (AtomicMeasure, CounterexampleMeasure)):
@@ -637,6 +641,8 @@ def quantile_1d(measure, u) -> np.ndarray:
     """Generalized inverse CDF at probabilities u (1D measures)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if isinstance(measure, GaussianMixture) and measure.weights.size == 1:
+        from scipy.special import ndtri
+
         m = float(measure.means[0, 0])
         s = math.sqrt(float(measure.variances[0]))
         return m + s * ndtri(u)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import measures as ms
 from .errors import NumericalError, ValidationError
@@ -117,6 +116,8 @@ def build_flow_map(
     if getattr(measure, "dim", None) != 1:
         raise ValidationError("flow maps are built for 1D measures only")
     if inputs is None:
+        from scipy.special import ndtri
+
         u = (np.arange(n_points) + 1.0) / (n_points + 1.0)
         inputs = ndtri(u)
     else:

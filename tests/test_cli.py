@@ -148,6 +148,14 @@ class TestTwoAtom:
     def test_validation_exit_2(self, capsys):
         assert main(["two-atom", "--x0", "0", "--t", "1"]) == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--x0", "2", "--t", "inf"], "t"), (["--x0", "nan", "--t", "1"], "x0"),
+        (["--x0", "2", "--t", "1", "--w0", "inf"], "w0"),
+    ])
+    def test_non_finite_exit_2(self, capsys, argv, name):
+        assert main(["two-atom", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+
 
 class TestDecompose:
     def test_polynomial(self, tmp_path, capsys):
@@ -253,7 +261,7 @@ class TestDeterminism:
 class TestImport:
     def test_scipy_optimize_and_integrate_load_lazily(self):
         # both cost a few tenths of a second of every CLI call; only
-        # two_atom_analysis and integrated_ou_upper_numeric need them
+        # integrated_ou_upper_numeric needs scipy.integrate, nothing scipy.optimize
         import logheat
 
         src = os.path.dirname(os.path.dirname(logheat.__file__))
@@ -262,3 +270,35 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_import_loads_no_scipy(self):
+        # scipy.special alone costs about a quarter second; it is imported
+        # where a call evaluates Phi or its inverse
+        out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES.format("import logheat")],
+                             capture_output=True, text=True, env=_src_env(), check=True)
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--alpha", "1.3", "--lip", "0.7", "--t", "2.5"],
+        ["hessian-scan", "--measure", "{mixture}", "--t", "1", "--points", "11"],
+        ["counterexample", "--t", "1", "--target-m", "2"],
+        ["two-atom", "--x0", "2", "--t", "1"],
+        ["decompose", "--measure", "{mixture}"],
+        ["mixture", "--measure", "{mixture}", "--points", "11"],
+    ], ids=lambda argv: argv[0])
+    def test_subcommand_runs_without_scipy(self, tmp_path, mixture_file, argv):
+        argv = [a.format(mixture=mixture_file) for a in argv] + ["--out", str(tmp_path)]
+        run = f"from logheat.cli import main; assert main({argv!r}) == 0"
+        out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES.format(run)],
+                             capture_output=True, text=True, env=_src_env(), check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+_SCIPY_MODULES = ("import sys\n{}\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+
+
+def _src_env():
+    import logheat
+
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(logheat.__file__))}

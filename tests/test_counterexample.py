@@ -190,3 +190,43 @@ class TestTwoAtom:
         assert rec.curvature_at_z_bar == pytest.approx(curv(z_bar), rel=1e-12)
         assert rec.grid_min_curvature == pytest.approx(
             min(float(np.min(vals)), float(res.fun)), rel=1e-12)
+
+    @pytest.mark.parametrize("x0, w0, w1, t", [
+        # z_bar inside the bracket [-2|x0|, 3|x0|]
+        (2.0, 0.5, 0.5, 1.0), (-3.0, 0.9, 0.1, 1.7), (5.0, 0.2, 0.8, 2.0),
+        (0.5, 0.7, 0.3, 0.01), (1.0, 0.5, 0.5, 100.0),
+        # z_bar outside it: about 4.89 > 3, -3.89 < -2 and -4.89 < -2
+        (1.0, 0.9, 0.1, 2.0), (1.0, 0.1, 0.9, 2.0), (-1.0, 0.9, 0.1, 2.0),
+    ])
+    def test_argmin_is_clipped_z_bar(self, x0, w0, w1, t):
+        from scipy.optimize import minimize_scalar
+
+        mu = AtomicMeasure(dim=1, weights=np.array([w0, w1]) / (w0 + w1),
+                           locations=np.array([[0.0], [x0]]))
+        curv = lambda z: float(log_hessian_heat(mu, [z], t)[0, 0])
+        a, b = -2.0 * abs(x0), 3.0 * abs(x0)
+        rec = two_atom_analysis(x0, w0, w1, t)
+        assert rec.argmin_z == min(max(rec.z_bar, a), b)
+        # reference: a bounded minimiser around the best grid point, in
+        # coordinates centred there so that its absolute tolerance stays small
+        zs = np.linspace(a, b, 601)
+        vals = log_hessian_heat(mu, zs[:, None], t)[:, 0, 0]
+        k = int(np.argmin(vals))
+        res = minimize_scalar(lambda u: curv(zs[k] + u), method="bounded",
+                              bounds=(zs[max(k - 1, 0)] - zs[k], zs[min(k + 1, 600)] - zs[k]),
+                              options={"xatol": 1e-12})
+        inside = a < rec.z_bar < b
+        # function values locate an interior quadratic minimum only to about
+        # sqrt(eps); a minimum at the bracket edge is located to xatol
+        assert rec.argmin_z == pytest.approx(zs[k] + res.x, abs=5e-8 if inside else 1e-9)
+        assert curv(rec.argmin_z) <= res.fun + 1e-15
+        assert rec.grid_min_curvature == min(float(np.min(vals)), curv(rec.argmin_z))
+
+    @pytest.mark.parametrize("args, name", [
+        ((2.0, 0.5, 0.5, math.inf), "t"), ((math.nan, 0.5, 0.5, 1.0), "x0"),
+        ((-math.inf, 0.5, 0.5, 1.0), "x0"), ((2.0, math.nan, 0.5, 1.0), "w0"),
+        ((2.0, 0.5, math.inf, 1.0), "w1"), ((2.0, 0.5, 0.5, math.nan), "t"),
+    ])
+    def test_non_finite_argument_named(self, args, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            two_atom_analysis(*args)

@@ -229,6 +229,37 @@ class TestDilate:
         assert d.means[0, 0] == pytest.approx(1.0)
         assert d.variances[0] == pytest.approx(0.25)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 2),
+           st.floats(-3.0, 3.0))
+    def test_mixture_copy_matches_rebuild(self, seed, k, dim, log10_c):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 1.0, k)
+        g = GaussianMixture(dim=dim, weights=w / w.sum(), means=rng.normal(0, 5, (k, dim)),
+                            variances=rng.uniform(1e-2, 10.0, k))
+        c = 10.0**log10_c
+        got = dilate(g, c)
+        want = GaussianMixture(dim=dim, weights=g.weights, means=g.means * c,
+                               variances=g.variances * c * c)
+        assert type(got) is GaussianMixture and got.dim == want.dim
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        zs = c * rng.normal(0, 3, (4, dim))
+        for a, b in zip(_tilt(got, zs, 0.5 * c * c), _tilt(want, zs, 0.5 * c * c)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_mixture_out_of_range_rejected(self, c):
+        # c = 1e-200 underflows the variances to 0, c = 1e200 overflows them
+        g = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 0.5)])
+        with pytest.raises(ValidationError, match="dilation"):
+            dilate(g, c)
+
+    def test_mixture_mean_overflow_rejected(self):
+        g = make_gaussian_mixture([(1.0, [1e300], 1e-300)])
+        with pytest.raises(ValidationError, match="dilation"):
+            dilate(g, 1e10)
+
     def test_perturbed_density_transforms(self):
         pm = make_perturbed(1.0, h_knots=[0.5], h_slopes=[1.0, -1.0])
         c = 0.7
