@@ -188,13 +188,20 @@ def two_atom_analysis(x0: float, w0: float, w1: float, t: float) -> TwoAtomRepor
         raise ValidationError("x0 must be nonzero")
     if not (w0 > 0 and w1 > 0 and t > 0):
         raise ValidationError("weights and t must be positive")
-    total = w0 + w1
-    mu = AtomicMeasure(
-        dim=1,
-        weights=np.array([w0 / total, w1 / total]),
-        locations=np.array([[0.0], [x0]]),
-    )
+    weights = np.array([w0, w1]) / (w0 + w1)
+    for name, p in zip(("w0", "w1"), weights):
+        if not p > 0:
+            raise ValidationError(f"{name} is out of range next to the other weight: "
+                                  f"{name}/(w0 + w1) evaluates to {p}")
+    mu = AtomicMeasure(dim=1, weights=weights, locations=np.array([[0.0], [x0]]))
     z_bar = 0.5 * x0 + (t / x0) * math.log(w0 / w1)
+    # the tilts reach z in [-2|x0|, 3|x0|] and z_bar, with exponents up to
+    # z^2 / (2t); the curvature (1 - Var/t) / t has Var <= x0^2 / 4
+    for q in (1.0, 9.0 * x0 * x0, z_bar * z_bar, x0 * x0 / t):
+        if not (math.isfinite(q) and math.isfinite(q / t)):
+            raise ValidationError(
+                f"x0 = {x0!r} and t = {t!r} are out of range: 1/t, x0^2/t^2 or the tilt "
+                f"exponent z^2/t for z in [-2|x0|, 3|x0|] or z_bar = {z_bar!r} overflows")
 
     def curv(z: float) -> float:
         return float(log_hessian_heat(mu, [z], t)[0, 0])

@@ -534,8 +534,9 @@ def dilate(measure: Measure, c: float):
         raise ValidationError("dilation factor must be positive and finite")
     if isinstance(measure, GaussianMixture):
         # a field copy: only the scaled means and variances can leave the
-        # valid range, by overflow or underflow
-        means, variances = measure.means * c, measure.variances * c * c
+        # valid range, by overflow or underflow, which the check reports
+        with np.errstate(over="ignore", under="ignore"):
+            means, variances = measure.means * c, measure.variances * c * c
         if not (np.all(np.isfinite(means)) and np.all((variances > 0) & (variances < math.inf))):
             raise ValidationError(f"dilation by {c!r} takes the mixture's means or "
                                   "variances out of the finite positive range")

@@ -3,10 +3,10 @@ reverse-time diffusion sampler.
 
 The flow map from the standard Gaussian to a 1D target is built by
 integrating the velocity field v(t, x) = -(score of the OU marginal + x)
-backward from a large horizon down to 0.  The horizon truncation is absorbed
-by an exact affine pre-correction matching the OU marginal's mean and
-standard deviation, and the short-time leg uses the substitution
-tau = e^{2t} - 1 where the velocity varies fastest.
+backward from a horizon set by a moment bound on W2 down to 0.  An exact
+affine start matching the OU marginal's mean and standard deviation absorbs
+the truncation and leaves v = O(e^{-t}), so the long-time leg runs in
+u = e^{-t}; the short-time leg uses tau = e^{2t} - 1, where v varies fastest.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import measures as ms
 from .errors import NumericalError, ValidationError
-from .heatflow import marginal_stats_1d, ou_log_derivatives, wasserstein2_1d
+from .heatflow import marginal_stats_1d, ou_log_derivatives
 from .numerics import rk4
 
 __all__ = [
@@ -43,6 +43,7 @@ class FlowMap:
     inputs: np.ndarray
     images: np.ndarray
     steps_per_unit: int
+    velocity_evals: int  # velocity batches evaluated, one per RK4 stage
 
     def __call__(self, x):
         """Piecewise-linear interpolation with end-slope extrapolation."""
@@ -91,11 +92,6 @@ def velocity_field(measure, t: float, x) -> np.ndarray:
     return -gradient
 
 
-def _velocity_1d(measure, t: float, xs: np.ndarray) -> np.ndarray:
-    _, sc, _ = marginal_stats_1d(measure, t, xs)
-    return -(sc + xs)
-
-
 def build_flow_map(
     measure,
     n_points: int = 257,
@@ -107,10 +103,11 @@ def build_flow_map(
 ) -> FlowMap:
     """Transport map from gamma to a 1D measure by backward flow integration.
 
-    Starts at t_max from an affine image of the inputs that matches the OU
-    marginal's mean and standard deviation exactly, integrates dy/dt = v(t, y)
-    down to t_min (substituting tau = e^{2t} - 1 below t_split), and removes
-    the final [0, t_min] leg by Richardson extrapolation from t_min and
+    Starts at t_max (default max(3, log(W / 1e-4)), where W = sqrt(mean^2 +
+    var) + 1 >= W2(mu, gamma)) from the exact affine image of the inputs,
+    integrates dy/dt = v(t, y) down to t_min with steps_per_unit RK4 steps per
+    unit of u = e^{-t} above t_split and of tau = e^{2t} - 1 below it, and
+    removes the final [0, t_min] leg by Richardson extrapolation from t_min and
     t_min / 2.
     """
     if getattr(measure, "dim", None) != 1:
@@ -124,22 +121,28 @@ def build_flow_map(
         inputs = np.asarray(inputs, dtype=float)
         if np.any(np.diff(inputs) <= 0):
             raise ValidationError("inputs must be strictly increasing")
-    if t_max is None:
-        w2 = wasserstein2_1d(measure, ms.standard_gaussian(1))
-        t_max = max(3.0, math.log(max(w2, 1e-12) / 1e-4))
-    if not 0 < t_min < t_split < t_max:
-        raise ValidationError("need 0 < t_min < t_split < t_max")
-
     mean, var = ms.mean_variance_1d(measure)
+    if t_max is None:  # triangle inequality through delta_0
+        t_max = max(3.0, math.log((math.hypot(mean, math.sqrt(var)) + 1.0) / 1e-4))
+    if not (0 < t_min < t_split < t_max and math.exp(-t_max) > 0):
+        raise ValidationError("need 0 < t_min < t_split < t_max and e^{-t_max} > 0")
+
     e2 = math.exp(-2.0 * t_max)
     m_T = mean * math.exp(-t_max)
     s_T = math.sqrt(var * e2 + 1.0 - e2)
     y = m_T + s_T * inputs
 
-    vel = lambda t, x: _velocity_1d(measure, t, x)
-    # leg A: t_max -> t_split, plain time variable
-    nA = max(16, int(math.ceil(steps_per_unit * (t_max - t_split))))
-    y = rk4(vel, y, t_max, t_split, nA)
+    evals = 0
+
+    def vel(t, x):
+        nonlocal evals
+        evals += 1
+        return -(marginal_stats_1d(measure, t, x)[1] + x)
+
+    # leg A: t_max -> t_split in u = e^{-t}, where dy/du = -v / u is smooth
+    u_max, u_split = math.exp(-t_max), math.exp(-t_split)
+    nA = max(32, int(math.ceil(steps_per_unit * (u_split - u_max))))
+    y = rk4(lambda u, x: -vel(-math.log(u), x) / u, y, u_max, u_split, nA)
 
     # legs B/C: substituted variable tau = e^{2t} - 1, dy/dtau = v / (2(1+tau))
     def vel_tau(tau, x):
@@ -166,6 +169,7 @@ def build_flow_map(
         inputs=inputs,
         images=images,
         steps_per_unit=steps_per_unit,
+        velocity_evals=evals,
     )
 
 

@@ -156,6 +156,15 @@ class TestTwoAtom:
         assert main(["two-atom", *argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
 
+    @pytest.mark.parametrize("argv, prefix", [
+        (["--x0", "1e-300", "--t", "1e10"], "error: x0 = 1e-300 and t = 10000000000.0 are"),
+        (["--x0", "1e308", "--t", "1"], "error: x0 = 1e+308 and t = 1.0 are"),
+        (["--x0", "2", "--t", "1", "--w0", "1e-300", "--w1", "1e300"], "error: w0 is"),
+    ])
+    def test_extreme_finite_exit_2(self, capsys, argv, prefix):
+        assert main(["two-atom", *argv]) == 2
+        assert capsys.readouterr().err.startswith(prefix)
+
 
 class TestDecompose:
     def test_polynomial(self, tmp_path, capsys):

@@ -230,3 +230,18 @@ class TestTwoAtom:
     def test_non_finite_argument_named(self, args, name):
         with pytest.raises(ValidationError, match=f"^{name} must be finite"):
             two_atom_analysis(*args)
+
+    @pytest.mark.parametrize("args, pattern", [
+        # t/x0 overflows, so z_bar is not finite
+        ((1e-300, 0.5, 0.5, 1e10), r"^x0 = 1e-300 and t = 10000000000\.0 are out of range"),
+        # the bracket 3|x0| overflows
+        ((1e308, 0.5, 0.5, 1.0), r"^x0 = 1e\+308 and t = 1\.0 are out of range"),
+        # x0^2 / t^2, the scale of the curvature, overflows
+        ((1e-140, 0.5, 0.5, 1e-308), r"^x0 = 1e-140 and t = 1e-308 are out of range"),
+        # w0 / (w0 + w1) underflows
+        ((2.0, 1e-300, 1e300, 1.0), r"^w0 is out of range"),
+        ((2.0, 1e300, 1e-300, 1.0), r"^w1 is out of range"),
+    ])
+    def test_extreme_finite_argument_named(self, args, pattern):
+        with pytest.raises(ValidationError, match=pattern):
+            two_atom_analysis(*args)

@@ -1,5 +1,6 @@
 """Measure construction, densities, convolution, sampling, CDFs."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -254,6 +255,14 @@ class TestDilate:
         g = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 0.5)])
         with pytest.raises(ValidationError, match="dilation"):
             dilate(g, c)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_mixture_range_check_warns_nothing(self, c):
+        g = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="dilation"):
+                dilate(g, c)
 
     def test_mixture_mean_overflow_rejected(self):
         g = make_gaussian_mixture([(1.0, [1e300], 1e-300)])

@@ -105,6 +105,56 @@ class TestBuildFlowMap:
         with pytest.raises(ValidationError):
             build_flow_map(standard_gaussian(1), t_min=0.6, t_split=0.5)
 
+    @pytest.mark.parametrize("t_max", [800.0, math.inf])
+    def test_horizon_beyond_underflow_rejected(self, t_max):
+        # the long-time leg starts at u = e^{-t_max}, which must not be 0
+        with pytest.raises(ValidationError, match="t_max"):
+            build_flow_map(standard_gaussian(1), n_points=9, t_max=t_max)
+
+
+def quantile_map(measure, xs):
+    """The exact flow map F^-1(Phi(x)): 110 bisection steps on cdf_1d over
+    [-64, 64] reach one ulp."""
+    u = stats.norm.cdf(xs)
+    lo, hi = np.full(xs.shape, -64.0), np.full(xs.shape, 64.0)
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        above = cdf_1d(measure, mid) >= u
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+KINK = make_perturbed(1.0, [], [0.0], [0.0], [-1.0, 1.0])
+MIX = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 1.0)])
+
+
+class TestFlowMapAccuracy:
+    # max error against quantile_map on the 257 default inputs when leg A
+    # still ran in plain t; the kink's error lives near t -> 0 and falls
+    # linearly in the step count, the mixture sits at the ~1.3e-8 floor of
+    # the Richardson leg
+    REFERENCE = {
+        ("kink", 25): 1.6907e-3, ("kink", 100): 2.3058e-4, ("kink", 400): 1.2132e-5,
+        ("mix", 25): 4.8707e-8, ("mix", 100): 1.3123e-8, ("mix", 400): 1.2982e-8,
+    }
+
+    @pytest.mark.parametrize("name, steps", list(REFERENCE))
+    def test_error_against_quantile_map(self, name, steps):
+        measure = {"kink": KINK, "mix": MIX}[name]
+        flow = build_flow_map(measure, steps_per_unit=steps)
+        err = float(np.max(np.abs(flow.images - quantile_map(measure, flow.inputs))))
+        assert err <= 1.05 * self.REFERENCE[name, steps]
+
+    def test_far_shifted_gaussian(self):
+        # N(40, 1) starts from a later horizon than N(0, 1), but the long-time
+        # leg's step count follows the range of u = e^{-t}, not of t
+        near = build_flow_map(standard_gaussian(1), n_points=65)
+        far = build_flow_map(gaussian_1d(mean=40.0), n_points=65)
+        assert np.max(np.abs(far.images - (far.inputs + 40.0))) < 1e-5
+        assert far.t_max > near.t_max + 2.0
+        assert near.velocity_evals == far.velocity_evals
+        assert build_flow_map(KINK, steps_per_unit=25).velocity_evals <= 400
+
 
 class TestPushforward:
     def test_gaussian_target(self):
