@@ -180,16 +180,16 @@ def mixture_hessian_lower(mixture: GaussianMixture, x) -> tuple[np.ndarray, np.n
     """
     xs, single = _points(mixture, x)
     l, r, g, _ = _mixture_posterior(mixture, xs)
-    i, j = np.tril_indices(l.shape[1], -1)  # the pairs j < i
-    dg = g[:, i, :] - g[:, j, :]
-    outer = dg[:, :, :, None] * dg[:, :, None, :]
+    i, j = np.tril_indices(l.shape[0], -1)  # the pairs j < i
+    dg = g[i] - g[j]
+    outer = dg[:, :, None, :] * dg[:, None, :, :]
     # 1/(2 + q + 1/q) = sech^2((l_i - l_j)/2)/4 with q = e^{l_i - l_j},
     # computed in logs to survive widely separated components
-    half = 0.5 * np.abs(l[:, i] - l[:, j])
+    half = 0.5 * np.abs(l[i] - l[j])
     log_cosh = half + np.log1p(np.exp(-2.0 * half)) - math.log(2.0)
     K = np.eye(mixture.dim) / float(np.max(mixture.variances))
-    refined = K - np.einsum("np,npab->nab", r[:, i] * r[:, j], outer)
-    crude = K - np.einsum("np,npab->nab", np.exp(-2.0 * log_cosh) / 4.0, outer)
+    refined = K - np.einsum("pn,pabn->nab", r[i] * r[j], outer)
+    crude = K - np.einsum("pn,pabn->nab", np.exp(-2.0 * log_cosh) / 4.0, outer)
     if single:
         return refined[0], crude[0]
     return refined, crude

@@ -61,32 +61,29 @@ def _tilt_mixture(mu: GaussianMixture, zs: np.ndarray, t: float):
     """The posterior of the smoothed mixture mu * gamma_t at z: component k
     tilts to N(m_k - s_k g_k, (s_k t / (s_k + t)) I), with g_k its component
     score, and has weight pi_k; the covariance is pooled about the tilted mean."""
-    s = mu.variances
-    smoothed = ms._with_fields(mu, variances=s + t)  # mu * gamma_t, without re-validation
-    _, pi, g, log_mass = ms._mixture_posterior(smoothed, zs)
-    m_tilde = mu.means[None, :, :] - s[:, None] * g
-    mean = np.einsum("nk,nki->ni", pi, m_tilde)
-    c = m_tilde - mean[:, None, :]
-    cov = np.einsum("nk,nki,nkj->nij", pi, c, c)
-    cov += (pi @ (s * t / (s + t)))[:, None, None] * np.eye(mu.dim)
-    return log_mass, mean, cov
+    s = mu.variances  # mu * gamma_t has variances s + t; _with_fields skips re-validation
+    _, pi, g, log_mass = ms._mixture_posterior(ms._with_fields(mu, variances=s + t), zs)
+    mean, cov = ms._pool(pi, mu.means[:, :, None] - s[:, None, None] * g, s * t / (s + t))
+    return log_mass, mean.T, cov.transpose(2, 0, 1)
 
 
 def _tilt_atoms(mu, zs: np.ndarray, t: float):
-    """Atoms keep their locations; the tilt only reweights them."""
-    locs = mu.locations.reshape(mu.log_weights.size, mu.dim)
+    """Atoms keep their locations; the tilt only reweights them.  Exponents
+    are taken about the midpoint c of the locations' span, where z.x/t and
+    |x|^2/(2t) would cancel: -|z - x|^2/2 = <z - c, x - c> - |x - c|^2/2 - |z - c|^2/2."""
+    locs = mu.locations.reshape(-1, mu.dim)
+    c = 0.5 * (locs.min(axis=0) + locs.max(axis=0))
+    xc, zc = locs - c, zs - c
+    q = np.sum(xc * xc, axis=1)
     with np.errstate(over="ignore"):
-        l = mu.log_weights + (zs @ locs.T) / t - 0.5 * np.sum(locs * locs, axis=1) / t
-        zz = np.sum(zs * zs, axis=1)
+        l = mu.log_weights[:, None] + (xc @ zc.T - 0.5 * (q - q.min())[:, None]) / t
+        zz = np.sum(zc * zc, axis=1)
     if not (np.all(np.isfinite(l)) and np.all(np.isfinite(zz))):
         raise NumericalError("tilted atom weights are non-finite; recenter z before tilting")
-    lse = _logsumexp(l, axis=1)
-    pi = np.exp(l - lse[:, None])
-    mean = pi @ locs
-    c = locs[None, :, :] - mean[:, None, :]
-    cov = np.einsum("nk,nki,nkj->nij", pi, c, c)
-    log_mass = lse - 0.5 * mu.dim * (_LOG_2PI + math.log(t)) - zz / (2.0 * t)
-    return log_mass, mean, cov
+    lse = _logsumexp(l, axis=0)
+    mean, cov = ms._pool(np.exp(l - lse), xc[:, :, None], np.zeros(q.size))
+    log_mass = lse - (zz + q.min()) / (2.0 * t) - 0.5 * mu.dim * (_LOG_2PI + math.log(t))
+    return log_mass, mean.T + c, cov.transpose(2, 0, 1)
 
 
 def _tilt_perturbed(pm: PerturbedLogConcave1D, zs: np.ndarray, t: float):

@@ -78,28 +78,37 @@ def _panel_moments(C, B, A, edges):
     """Aggregate (log_mass, mean, variance) of the piecewise-Gaussian density
     exp(-C x^2/2 + B x + A_p) on panels delimited by ``edges``.
 
-    ``edges`` has length P+1 (first/last may be +-inf); B and A broadcast
+    ``edges`` has length P+1 and runs from -inf to +inf; B and A broadcast
     with a leading panel axis of length P, so that the sums over panels run
     over contiguous rows.  On each panel the density is a Gaussian with mode
-    m = B/C and scale sigma = C^{-1/2}, truncated to [a, b] in standard units.
+    m = B/C and scale sigma = C^{-1/2}, truncated to [a, b] in standard units;
+    only the 2(P-1) finite edges enter, as the outer panels are one-sided.
     """
     sigma = 1.0 / math.sqrt(C)
     m = B / C
-    edges = edges.reshape((-1,) + (1,) * (B.ndim - 1))
-    a = (edges[:-1] - m) / sigma
-    b = (edges[1:] - m) / sigma
-    logZ = _log_gauss_mass(a, b)
+    inner = edges[1:-1].reshape((-1,) + (1,) * (B.ndim - 1))
+    b = (inner - m[:-1]) / sigma  # upper edges of panels 0..P-2
+    a = (inner - m[1:]) / sigma  # lower edges of panels 1..P-1
+    logZ = np.zeros(m.shape)
+    if len(m) > 1:
+        from scipy.special import log_ndtr
+
+        logZ[0], logZ[-1] = log_ndtr(b[0]), log_ndtr(-a[-1])
+        if len(m) > 2:
+            logZ[1:-1] = _log_gauss_mass(a[:-1], b[1:])
     log_mass = A + B * B / (2.0 * C) + 0.5 * math.log(2.0 * math.pi / C) + logZ
-    # phi(a)/Z and phi(b)/Z: a panel with Z = 0 gets pi = 0 below and is
-    # masked out; an infinite edge gives phi = 0, and t1, t2 skip inf * 0
+    # phi(a)/Z and phi(b)/Z; a panel with Z = 0 gets pi = 0 and is masked out
     with np.errstate(over="ignore", invalid="ignore"):
-        d1 = np.exp(-0.5 * a * a - 0.5 * _LOG_2PI - logZ)
-        d2 = np.exp(-0.5 * b * b - 0.5 * _LOG_2PI - logZ)
-        t1 = np.where(d1 > 0, a * d1, 0.0)
-        t2 = np.where(d2 > 0, b * d2, 0.0)
-    dd = d1 - d2
+        d1 = np.exp(-0.5 * a * a - 0.5 * _LOG_2PI - logZ[1:])
+        d2 = np.exp(-0.5 * b * b - 0.5 * _LOG_2PI - logZ[:-1])
+        dd = np.zeros(m.shape)  # phi(a)/Z - phi(b)/Z
+        dd[1:] = d1
+        dd[:-1] -= d2
+        s = np.ones(m.shape)  # 1 + a phi(a)/Z - b phi(b)/Z
+        s[1:] += a * d1
+        s[:-1] -= b * d2
     mean_p = m + sigma * dd
-    var_p = sigma * sigma * (1.0 + t1 - t2 - dd * dd)
+    var_p = sigma * sigma * (s - dd * dd)
 
     M = np.max(log_mass, axis=0)
     M = np.where(np.isfinite(M), M, 0.0)
@@ -411,18 +420,27 @@ def _points(measure, x) -> tuple[np.ndarray, bool]:
 
 
 def _mixture_posterior(mu: GaussianMixture, xs: np.ndarray):
-    """Component logits log(w_k N(x; m_k, v_k I)) (n, k), posterior
-    responsibilities (n, k), component scores -(x - m_k)/v_k (n, k, d) and
-    the log-density, the log-sum-exp of the logits (n,), at each row of xs."""
-    diff = xs[:, None, :] - mu.means[None, :, :]
+    """Component logits log(w_k N(x; m_k, v_k I)) (k, n), posterior
+    responsibilities (k, n), component scores -(x - m_k)/v_k (k, d, n) and
+    the log-density (n,), at each row x of xs; the component axis leads, so
+    each reduction over it adds whole rows (see ``_logsumexp``)."""
+    dm = mu.means[:, :, None] - xs.T[None, :, :]
     logits = (
-        np.log(mu.weights)
-        - 0.5 * mu.dim * (_LOG_2PI + np.log(mu.variances))
-        - 0.5 * np.sum(diff * diff, axis=2) / mu.variances
-    )
-    log_density = _logsumexp(logits, axis=1)
-    resp = np.exp(logits - log_density[:, None])
-    return logits, resp, -diff / mu.variances[:, None], log_density
+        np.log(mu.weights) - 0.5 * mu.dim * (_LOG_2PI + np.log(mu.variances))
+    )[:, None] - 0.5 * np.sum(dm * dm, axis=1) / mu.variances[:, None]
+    log_density = _logsumexp(logits, axis=0)
+    resp = np.exp(logits - log_density)
+    return logits, resp, dm / mu.variances[:, None, None], log_density
+
+
+def _pool(r, vecs, var):
+    """Mean (d, n) and covariance (d, d, n), pooled about the mean, of the
+    mixture with weights r (k, n) of N(vecs_k, var_k I), vecs (k, d, n)."""
+    mean = np.einsum("kn,kin->in", r, vecs)
+    c = vecs - mean
+    cov = np.einsum("kn,kin,kjn->ijn", r, c, c, order="C")  # so reshape is a view
+    cov.reshape(-1, cov.shape[2])[:: mean.shape[0] + 1] += var @ r  # the diagonal
+    return mean, cov
 
 
 def _density_points(measure, x) -> tuple[np.ndarray, bool]:
@@ -448,7 +466,7 @@ def score(measure: Measure, x) -> np.ndarray:
     zs, single = _density_points(measure, x)
     if isinstance(measure, GaussianMixture):
         _, r, g, _ = _mixture_posterior(measure, zs)
-        out = np.einsum("nk,nki->ni", r, g)
+        out = np.einsum("kn,kin->ni", r, g)
     else:
         out = -measure.potential_slope(zs)
     return out[0] if single else out
@@ -460,9 +478,7 @@ def log_hessian(measure: Measure, x) -> np.ndarray:
     zs, single = _density_points(measure, x)
     if isinstance(measure, GaussianMixture):
         _, r, g, _ = _mixture_posterior(measure, zs)
-        c = g - np.einsum("nk,nki->ni", r, g)[:, None, :]
-        out = np.einsum("nk,nki,nkj->nij", r, c, c)
-        out -= (r @ (1.0 / measure.variances))[:, None, None] * np.eye(measure.dim)
+        out = _pool(r, g, -1.0 / measure.variances)[1].transpose(2, 0, 1)
     else:
         out = np.full((zs.shape[0], 1, 1), -measure.alpha)
     return out[0] if single else out

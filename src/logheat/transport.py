@@ -139,10 +139,17 @@ def build_flow_map(
         evals += 1
         return -(marginal_stats_1d(measure, t, x)[1] + x)
 
+    def leg(name, t_hi, t_lo, *args):  # rk4 reports its own variable, u or tau
+        try:
+            return rk4(*args)
+        except NumericalError as err:
+            raise NumericalError(f"flow map state blew up on leg {name}, between "
+                                 f"t={t_lo:.6g} and t={t_hi:.6g}") from err
+
     # leg A: t_max -> t_split in u = e^{-t}, where dy/du = -v / u is smooth
     u_max, u_split = math.exp(-t_max), math.exp(-t_split)
     nA = max(32, int(math.ceil(steps_per_unit * (u_split - u_max))))
-    y = rk4(lambda u, x: -vel(-math.log(u), x) / u, y, u_max, u_split, nA)
+    y = leg("A", t_max, t_split, lambda u, x: -vel(-math.log(u), x) / u, y, u_max, u_split, nA)
 
     # legs B/C: substituted variable tau = e^{2t} - 1, dy/dtau = v / (2(1+tau))
     def vel_tau(tau, x):
@@ -153,8 +160,8 @@ def build_flow_map(
     tau_min = math.expm1(2.0 * t_min)
     tau_half = math.expm1(t_min)  # tau at t_min / 2
     nB = max(16, int(math.ceil(steps_per_unit * (tau_split - tau_min))))
-    y_tmin = rk4(vel_tau, y, tau_split, tau_min, nB)
-    y_half = rk4(vel_tau, y_tmin, tau_min, tau_half, 16)
+    y_tmin = leg("B", t_split, t_min, vel_tau, y, tau_split, tau_min, nB)
+    y_half = leg("C", t_min, 0.5 * t_min, vel_tau, y_tmin, tau_min, tau_half, 16)
     images = 2.0 * y_half - y_tmin
 
     if np.any(np.diff(images) < -1e-10):

@@ -1,6 +1,7 @@
 """Heavy-tail certificates and the two-atom threshold analysis."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -245,3 +246,23 @@ class TestTwoAtom:
     def test_extreme_finite_argument_named(self, args, pattern):
         with pytest.raises(ValidationError, match=pattern):
             two_atom_analysis(*args)
+
+    @pytest.mark.parametrize("x0", [3.0, 1e4, 1e6, 1e8, 1e9, -1e8])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+    def test_curvature_at_z_bar_far_atoms(self, x0, t):
+        # reference: the 60-digit curvature (1/t)(1 - p0 p1 x0^2/t) at the
+        # float z_bar, whose tilted weights p1/p0 = (w1/w0) e^{(z x0 - x0^2/2)/t}
+        # carry the rounding of z_bar; the tilt exponent is large and cancels
+        with mpmath.workdps(60):
+            for w0 in (0.5, 0.3, 0.1, 0.9, 1e-6):
+                rec = two_atom_analysis(x0, w0, 1.0 - w0, t)
+                z, x, tt = mpmath.mpf(rec.z_bar), mpmath.mpf(x0), mpmath.mpf(t)
+                w0n = mpmath.mpf(w0) / (mpmath.mpf(w0) + mpmath.mpf(1.0 - w0))
+                ratio = (1 - w0n) / w0n * mpmath.exp((z * x - x * x / 2) / tt)
+                var = ratio / (1 + ratio) ** 2 * x * x
+                want = (1 - var / tt) / tt
+                assert abs(rec.curvature_at_z_bar - want) <= 1e-12 * abs(want), w0
+        # equal weights: z_bar = x0/2 exactly, at the closed form
+        want = (1.0 - x0 * x0 / (4.0 * t)) / t
+        assert two_atom_analysis(x0, 0.5, 0.5, t).curvature_at_z_bar == pytest.approx(
+            want, rel=1e-12)

@@ -1,4 +1,4 @@
-"""The three quick demos run to completion against the current API."""
+"""The demos run to completion against the current API."""
 import os
 import subprocess
 import sys
@@ -11,9 +11,8 @@ SRC = os.path.dirname(os.path.dirname(logheat.__file__))
 DEMOS = os.path.join(os.path.dirname(SRC), "demos")
 
 
-# reverse_diffusion.py takes several seconds and stays out of the test suite
 @pytest.mark.parametrize("script", ["curvature_envelopes.py", "heavy_tail_certificates.py",
-                                    "transport_certification.py"])
+                                    "reverse_diffusion.py", "transport_certification.py"])
 def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, os.path.join(DEMOS, script)], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,

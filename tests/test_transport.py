@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from logheat import (
+    NumericalError,
     PerturbationParams,
     ValidationError,
     build_flow_map,
@@ -23,6 +24,7 @@ from logheat import (
     transport_constants,
     velocity_field,
 )
+from logheat import transport
 
 
 def gaussian_1d(mean=0.0, var=1.0):
@@ -110,6 +112,24 @@ class TestBuildFlowMap:
         # the long-time leg starts at u = e^{-t_max}, which must not be 0
         with pytest.raises(ValidationError, match="t_max"):
             build_flow_map(standard_gaussian(1), n_points=9, t_max=t_max)
+
+    @pytest.mark.parametrize("t_bad, pattern", [
+        (math.inf, r"leg A, between t=0\.5 and t=9\.90349"),  # inf from the first call
+        (0.3, r"leg B, between t=0\.0001 and t=0\.5"),
+    ])
+    def test_blowup_names_leg_in_t(self, monkeypatch, t_bad, pattern):
+        # the legs integrate in u = e^{-t} and tau = e^{2t} - 1; the error
+        # names the time t, not the integration variable
+        real = transport.marginal_stats_1d
+
+        def stats_1d(measure, t, xs):
+            if t < t_bad:
+                return np.zeros_like(xs), np.full_like(xs, np.inf), np.zeros_like(xs)
+            return real(measure, t, xs)
+
+        monkeypatch.setattr(transport, "marginal_stats_1d", stats_1d)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=pattern):
+            build_flow_map(standard_gaussian(1), n_points=9)
 
 
 def quantile_map(measure, xs):
