@@ -57,17 +57,18 @@ class TiltedMoments:
 # the batched tilt kernels: (log_mass (n,), mean (n, d), cov (n, d, d))
 # ---------------------------------------------------------------------------
 
-def _tilt_mixture(mu: GaussianMixture, zs: np.ndarray, t: float):
+def _tilt_mixture(mu: GaussianMixture, zs: np.ndarray, t):
     """The posterior of the smoothed mixture mu * gamma_t at z: component k
     tilts to N(m_k - s_k g_k, (s_k t / (s_k + t)) I), with g_k its component
     score, and has weight pi_k; the covariance is pooled about the tilted mean."""
-    s = mu.variances  # mu * gamma_t has variances s + t; _with_fields skips re-validation
+    s = mu.variances[:, None] if isinstance(t, np.ndarray) else mu.variances  # (k, 1) vs t (n,)
+    # mu * gamma_t has variances s + t; _with_fields skips re-validation
     _, pi, g, log_mass = ms._mixture_posterior(ms._with_fields(mu, variances=s + t), zs)
-    mean, cov = ms._pool(pi, mu.means[:, :, None] - s[:, None, None] * g, s * t / (s + t))
+    mean, cov = ms._pool(pi, mu.means[:, :, None] - s.reshape(-1, 1, 1) * g, s * t / (s + t))
     return log_mass, mean.T, cov.transpose(2, 0, 1)
 
 
-def _tilt_atoms(mu, zs: np.ndarray, t: float):
+def _tilt_atoms(mu, zs: np.ndarray, t):
     """Atoms keep their locations; the tilt only reweights them.  Exponents
     are taken about the midpoint c of the locations' span, where z.x/t and
     |x|^2/(2t) would cancel: -|z - x|^2/2 = <z - c, x - c> - |x - c|^2/2 - |z - c|^2/2."""
@@ -82,17 +83,17 @@ def _tilt_atoms(mu, zs: np.ndarray, t: float):
         raise NumericalError("tilted atom weights are non-finite; recenter z before tilting")
     lse = _logsumexp(l, axis=0)
     mean, cov = ms._pool(np.exp(l - lse), xc[:, :, None], np.zeros(q.size))
-    log_mass = lse - (zz + q.min()) / (2.0 * t) - 0.5 * mu.dim * (_LOG_2PI + math.log(t))
+    log_mass = lse - (zz + q.min()) / (2.0 * t) - 0.5 * mu.dim * (_LOG_2PI + np.log(t))
     return log_mass, mean.T + c, cov.transpose(2, 0, 1)
 
 
-def _tilt_perturbed(pm: PerturbedLogConcave1D, zs: np.ndarray, t: float):
+def _tilt_perturbed(pm: PerturbedLogConcave1D, zs: np.ndarray, t):
     """Closed-form truncated-Gaussian moments on each panel of the density."""
     z = zs[:, 0]
     B = z / t - pm.panel_b[:, None]  # (P, n)
     A = -pm.panel_a[:, None] - z * z / (2.0 * t)
     log_mass, mean, var = _panel_moments(pm.alpha + 1.0 / t, B, A, pm.panel_edges)
-    log_mass = log_mass - 0.5 * (_LOG_2PI + math.log(t)) - pm.log_normalizer
+    log_mass = log_mass - 0.5 * (_LOG_2PI + np.log(t)) - pm.log_normalizer
     return log_mass, mean[:, None], var[:, None, None]
 
 
@@ -104,10 +105,11 @@ _TILT = {
 }
 
 
-def _tilt(measure, zs: np.ndarray, t: float):
+def _tilt(measure, zs: np.ndarray, t):
     """(log_mass, mean, cov) of mu_{z,t} at each row of zs, shape (n, dim),
-    as checked by ``_points``."""
-    if not 0 < t < math.inf:
+    as checked by ``_points``; t is a float, or an (n,) array with one time
+    per row."""
+    if not (np.all((t > 0) & (t < math.inf)) if isinstance(t, np.ndarray) else 0 < t < math.inf):
         raise ValidationError(f"t must be positive and finite, got {t}")
     kernel = _TILT.get(type(measure))
     if kernel is None:

@@ -83,8 +83,9 @@ def _panel_moments(C, B, A, edges):
     over contiguous rows.  On each panel the density is a Gaussian with mode
     m = B/C and scale sigma = C^{-1/2}, truncated to [a, b] in standard units;
     only the 2(P-1) finite edges enter, as the outer panels are one-sided.
+    C is a float, or an array with one precision per point (B's trailing axes).
     """
-    sigma = 1.0 / math.sqrt(C)
+    sigma = 1.0 / np.sqrt(C)
     m = B / C
     inner = edges[1:-1].reshape((-1,) + (1,) * (B.ndim - 1))
     b = (inner - m[:-1]) / sigma  # upper edges of panels 0..P-2
@@ -96,7 +97,7 @@ def _panel_moments(C, B, A, edges):
         logZ[0], logZ[-1] = log_ndtr(b[0]), log_ndtr(-a[-1])
         if len(m) > 2:
             logZ[1:-1] = _log_gauss_mass(a[:-1], b[1:])
-    log_mass = A + B * B / (2.0 * C) + 0.5 * math.log(2.0 * math.pi / C) + logZ
+    log_mass = A + B * B / (2.0 * C) + 0.5 * np.log(2.0 * math.pi / C) + logZ
     # phi(a)/Z and phi(b)/Z; a panel with Z = 0 gets pi = 0 and is masked out
     with np.errstate(over="ignore", invalid="ignore"):
         d1 = np.exp(-0.5 * a * a - 0.5 * _LOG_2PI - logZ[1:])
@@ -423,23 +424,26 @@ def _mixture_posterior(mu: GaussianMixture, xs: np.ndarray):
     """Component logits log(w_k N(x; m_k, v_k I)) (k, n), posterior
     responsibilities (k, n), component scores -(x - m_k)/v_k (k, d, n) and
     the log-density (n,), at each row x of xs; the component axis leads, so
-    each reduction over it adds whole rows (see ``_logsumexp``)."""
+    each reduction over it adds whole rows (see ``_logsumexp``).  Variances: (k,) or (k, n)."""
+    v = mu.variances.reshape(mu.weights.size, -1)
     dm = mu.means[:, :, None] - xs.T[None, :, :]
     logits = (
-        np.log(mu.weights) - 0.5 * mu.dim * (_LOG_2PI + np.log(mu.variances))
-    )[:, None] - 0.5 * np.sum(dm * dm, axis=1) / mu.variances[:, None]
+        np.log(mu.weights)[:, None] - 0.5 * mu.dim * (_LOG_2PI + np.log(v))
+    ) - 0.5 * np.sum(dm * dm, axis=1) / v
     log_density = _logsumexp(logits, axis=0)
     resp = np.exp(logits - log_density)
-    return logits, resp, dm / mu.variances[:, None, None], log_density
+    return logits, resp, dm / v[:, None], log_density
 
 
 def _pool(r, vecs, var):
     """Mean (d, n) and covariance (d, d, n), pooled about the mean, of the
-    mixture with weights r (k, n) of N(vecs_k, var_k I), vecs (k, d, n)."""
+    mixture with weights r (k, n) of N(vecs_k, var_k I), vecs (k, d, n), and
+    var (k,) or, one per point, (k, n)."""
     mean = np.einsum("kn,kin->in", r, vecs)
     c = vecs - mean
     cov = np.einsum("kn,kin,kjn->ijn", r, c, c, order="C")  # so reshape is a view
-    cov.reshape(-1, cov.shape[2])[:: mean.shape[0] + 1] += var @ r  # the diagonal
+    diag = var @ r if var.ndim == 1 else np.einsum("kn,kn->n", var, r)
+    cov.reshape(-1, cov.shape[2])[:: mean.shape[0] + 1] += diag
     return mean, cov
 
 

@@ -119,6 +119,26 @@ def lemma4_decompose(
                          lip_cert=lip_cert, grid=grid)
 
 
+def _search_points(mixture: GaussianMixture) -> tuple[np.ndarray, float]:
+    """Where ``analyze_mixture_1d`` evaluates the curvature bound, and the step:
+    a grid of step sigma_max/50 over the means' span plus 20 sigma_max, and +-4
+    sigma_max about each root of 2(l_i - l_j) = a x^2 + b x + c, l_k = log(w_k N(x;
+    m_k, v_k)): the curvature dips where a wider component overtakes a narrower."""
+    m, v, w = mixture.means[:, 0], mixture.variances, mixture.weights
+    sigma_max = float(np.sqrt(np.max(v)))
+    step = sigma_max / 50.0
+    xs = np.arange(0.0, float(np.max(np.abs(m))) + 20.0 * sigma_max + step, step)
+    i, j = np.triu_indices(w.size, 1)
+    a, b = 1.0 / v[j] - 1.0 / v[i], 2.0 * (m[i] / v[i] - m[j] / v[j])
+    c = m[j] ** 2 / v[j] - m[i] ** 2 / v[i] + 2.0 * np.log(w[i] / w[j]) - np.log(v[i] / v[j])
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))  # no cancellation
+    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 or q = 0: no such root
+        roots = np.concatenate([q / a, c / q])[np.tile(disc >= 0, 2)]
+    windows = roots[np.isfinite(roots), None] + step * np.arange(-200, 201)
+    return np.concatenate([-xs[:0:-1], xs, windows.ravel()]), step
+
+
 def analyze_mixture_1d(
     mixture: GaussianMixture, radius_cap: float | None = None
 ) -> MixtureAnalysis | Infeasible:
@@ -126,8 +146,10 @@ def analyze_mixture_1d(
     perturbation of a strongly log-concave density.
 
     alpha = K/2 where K is the common convexity modulus of the component
-    potentials; radius is the smallest grid radius outside which the refined
-    curvature lower bound stays >= K/2; beta covers the worst dip inside.
+    potentials; radius is the smallest radius outside which the refined
+    curvature lower bound stays >= K/2 on the search points (a grid, and a
+    window about each crossover of two components); beta covers the worst
+    dip inside.  The default radius_cap is the search points' extent.
     """
     if mixture.dim != 1:
         raise ValidationError("mixture must be 1D")
@@ -135,18 +157,14 @@ def analyze_mixture_1d(
     if mixture.weights.size == 1:
         return MixtureAnalysis(alpha=K, lip=0.0, radius=0.0, beta=0.0)
 
-    means = mixture.means[:, 0]
+    xs, step = _search_points(mixture)
     sigma_max = float(np.sqrt(np.max(mixture.variances)))
-    span = max(abs(float(np.min(means))), abs(float(np.max(means))))
-    grid_half = span + 20.0 * sigma_max
+    half = float(np.max(np.abs(xs)))
     if radius_cap is None:
-        radius_cap = grid_half
-    step = sigma_max / 50.0
-    xs = np.arange(0.0, grid_half + step, step)
-    xs = np.unique(np.concatenate([-xs[::-1], xs]))
-    # cross terms decay exponentially beyond the mean span; the four points
-    # past the search grid spot-check the monotone tail
-    tail = grid_half + np.array([5.0, 10.0]) * sigma_max
+        radius_cap = half
+    # cross terms decay exponentially away from the crossovers; the four
+    # points past the search points spot-check the monotone tail
+    tail = half + np.array([5.0, 10.0]) * sigma_max
     refined, _ = mixture_hessian_lower(mixture, np.concatenate([xs, tail, -tail])[:, None])
     vals, tail_vals = refined[:xs.size, 0, 0], refined[xs.size:, 0, 0]
 

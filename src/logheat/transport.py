@@ -17,7 +17,7 @@ import numpy as np
 
 from . import measures as ms
 from .errors import NumericalError, ValidationError
-from .heatflow import marginal_stats_1d, ou_log_derivatives
+from .heatflow import _tilt, marginal_stats_1d, ou_log_derivatives
 from .numerics import rk4
 
 __all__ = [
@@ -32,6 +32,9 @@ __all__ = [
     "theta_envelope",
     "reverse_sde_sample",
 ]
+
+
+_TILT_BLOCK = 4096  # points per _tilt call in theta_envelope: small temporaries, few calls
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,12 @@ def build_flow_map(
     def vel(t, x):
         nonlocal evals
         evals += 1
-        return -(marginal_stats_1d(measure, t, x)[1] + x)
+        try:
+            return -(marginal_stats_1d(measure, t, x)[1] + x)
+        except ValidationError:  # a stage state that blew up is no input error
+            if np.all(np.isfinite(x)):
+                raise
+            raise NumericalError(f"non-finite RK4 stage state at t={t:.6g}") from None
 
     def leg(name, t_hi, t_lo, *args):  # rk4 reports its own variable, u or tau
         try:
@@ -231,7 +239,8 @@ def theta_envelope(
     integral_theta_max integrates the per-time max: with a user time_grid, a
     plain trapezoid over the grid; otherwise a trapezoid in u = sqrt(t)
     (the max can grow like 1/sqrt(t) near 0), plus a short-time correction
-    and an exp(-2t) tail estimate beyond the last time.
+    and an exp(-2t) tail estimate beyond the last time.  Each time needs t > 0
+    and e^{2t} max(1, x^2) finite on the space grid: t < 354.9 - log max(1, |x|).
     """
     if space_grid is None:
         mean, var = ms.mean_variance_1d(measure)
@@ -246,13 +255,24 @@ def theta_envelope(
         u = np.linspace(math.sqrt(1e-6), math.sqrt(t_end), n_times)
         times = u * u
 
-    th_min = np.empty(times.size)
-    th_max = np.empty(times.size)
-    for i, t in enumerate(times):
-        _, _, hess = marginal_stats_1d(measure, float(t), space_grid)
-        theta = hess + 1.0
-        th_min[i] = float(np.min(theta))
-        th_max[i] = float(np.max(theta))
+    # mu_t(x) = e^t (mu * gamma_tau)(e^t x), tau = e^{2t} - 1, so theta = (Var_tau(e^t x)
+    # / tau - 1) / (1 - e^{-2t}) + 1; one _tilt call per block of whole time rows
+    xs = ms._points(measure, space_grid[:, None])[0][:, 0]
+    with np.errstate(over="ignore"):
+        tau, v, scale = np.expm1(2.0 * times), -np.expm1(-2.0 * times), np.exp(times)
+        bad = ~((times > 0) & (scale * scale * np.max(xs * xs, initial=1.0) < math.inf))
+    if np.any(bad):
+        raise ValidationError(f"time t={float(times[bad][0])!r} is out of range: need t > 0 "
+                              "and e^(2t) max(1, x^2) finite on the space grid")
+    th_min, th_max = np.empty(times.size), np.empty(times.size)
+    rows = max(1, _TILT_BLOCK // max(xs.size, 1))
+    for i in range(0, times.size, rows):
+        blk = slice(i, i + rows)
+        zs = (scale[blk, None] * xs).reshape(-1, 1)
+        cov = _tilt(measure, zs, np.repeat(tau[blk], xs.size))[2].reshape(-1, xs.size)
+        theta = (cov / tau[blk, None] - 1.0) / v[blk, None] + 1.0
+        th_min[blk] = np.min(theta, axis=1)
+        th_max[blk] = np.max(theta, axis=1)
 
     if user_grid:
         integral = float(np.trapezoid(th_max, times))

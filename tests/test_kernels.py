@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logheat import (
+    AtomicMeasure,
     GaussianMixture,
     log_density,
     log_hessian,
     make_perturbed,
     mean_variance_1d,
+    measure_from_json,
     score,
 )
 from logheat.heatflow import _tilt
@@ -173,3 +175,57 @@ class TestMixtureKernel:
         np.testing.assert_allclose(mean[0], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(cov[0], [[1.5, 1.0], [1.0, 1.5]], rtol=1e-14)
         assert_matches(cov, _tilt_mixture_nkd(mu, np.zeros((1, 2)), t)[2])
+
+
+_COUNTEREXAMPLES = [
+    measure_from_json({"type": "counterexample", "psi": psi, "coefficient": c, "truncation": n})
+    for psi, c, n in [("zero", 0.0, 8), ("linear", 0.02, 30), ("quadratic", 1e-3, 60)]
+]
+
+
+@st.composite
+def _tilt_case(draw):
+    """A measure of each tilted family and a random generator for its points."""
+    family = draw(st.sampled_from(["mixture", "atoms", "counterexample", "perturbed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "mixture":
+        return draw(_mixture())[0], rng
+    if family == "perturbed":
+        return draw(_perturbed()), rng
+    if family == "counterexample":
+        return draw(st.sampled_from(_COUNTEREXAMPLES)), rng
+    k, dim = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+    w = rng.uniform(0.05, 1.0, k)
+    return AtomicMeasure(dim=dim, weights=w / w.sum(),
+                         locations=rng.uniform(-4.0, 4.0, (k, dim))), rng
+
+
+def _extent(mu):
+    """Largest |coordinate| among a measure's means, atoms or finite panel edges."""
+    for name in ("means", "locations", "panel_edges"):
+        if hasattr(mu, name):
+            x = np.asarray(getattr(mu, name), dtype=float)
+            return float(np.max(np.abs(x[np.isfinite(x)]), initial=0.0))
+
+
+class TestPerPointTimes:
+    @settings(max_examples=300, deadline=None)
+    @given(_tilt_case(), st.sampled_from([1.0, 10.0, 1e2]), st.integers(1, 24))
+    def test_matches_scalar_rows(self, case, scale, n):
+        # one heat time per row gives the rows of one scalar-time call each,
+        # to 1e-13 relative to the scale each quantity is computed at: a row
+        # of a batch and a single row sum over components in different
+        # orders, and the tilted mean and covariance come from differences
+        # of locations of size L
+        mu, rng = case
+        zs = scale * rng.uniform(-1.0, 1.0, (n, mu.dim))
+        ts = 10.0 ** rng.uniform(-6.0, 2.0, n)
+        rows = [_tilt(mu, zs[i:i + 1], float(ts[i])) for i in range(n)]
+        log_mass, mean, cov = (np.concatenate(r) for r in zip(*rows))
+        got = _tilt(mu, zs, ts)
+        L = 1.0 + _extent(mu) + np.linalg.norm(zs, axis=1)
+        spread = L * np.sqrt(np.max(np.diagonal(cov, axis1=1, axis2=2), axis=1))
+        for g, w, s in [(got[0], log_mass, L * L / ts), (got[1], mean, L[:, None]),
+                        (got[2], cov, spread[:, None, None])]:
+            assert g.shape == w.shape
+            assert np.all(np.abs(g - w) <= 1e-13 * (np.abs(w) + s))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logheat import (
     Infeasible,
@@ -11,23 +13,23 @@ from logheat import (
     analyze_mixture_1d,
     lemma4_decompose,
     log_concavity_time,
+    log_hessian,
     log_hessian_heat,
     make_gaussian_mixture,
     mixture_hessian_lower,
     thm2_envelope,
 )
+from logheat.structure import _search_points
 
 
 def _analyze_pointwise(mixture, radius_cap=None):
-    """analyze_mixture_1d with one mixture_hessian_lower call per grid point."""
+    """analyze_mixture_1d with one mixture_hessian_lower call per search point."""
     K = 1.0 / float(np.max(mixture.variances))
     sigma_max = float(np.sqrt(np.max(mixture.variances)))
-    grid_half = float(np.max(np.abs(mixture.means))) + 20.0 * sigma_max
+    xs, step = _search_points(mixture)
+    half = float(np.max(np.abs(xs)))
     if radius_cap is None:
-        radius_cap = grid_half
-    step = sigma_max / 50.0
-    xs = np.arange(0.0, grid_half + step, step)
-    xs = np.unique(np.concatenate([-xs[::-1], xs]))
+        radius_cap = half
     refined = lambda x: float(mixture_hessian_lower(mixture, [x])[0][0, 0])
     vals = np.array([refined(x) for x in xs])
     bad = np.abs(xs)[vals < 0.5 * K]
@@ -35,7 +37,7 @@ def _analyze_pointwise(mixture, radius_cap=None):
     if radius > radius_cap:
         return Infeasible(reason=f"curvature bound below K/2 out to the radius cap {radius_cap}",
                           radius_cap=radius_cap)
-    for x in (grid_half + 5.0 * sigma_max, grid_half + 10.0 * sigma_max):
+    for x in (half + 5.0 * sigma_max, half + 10.0 * sigma_max):
         if refined(x) < 0.5 * K or refined(-x) < 0.5 * K:
             return Infeasible(reason=f"curvature bound still below K/2 at |x| = {x}",
                               radius_cap=radius_cap)
@@ -138,3 +140,64 @@ class TestAnalyzeMixture:
         res = analyze_mixture_1d(g, radius_cap=1.0)
         assert isinstance(res, Infeasible)
         assert "cap" in res.reason
+
+
+def _crossover_roots(mixture):
+    """Where two components' weighted log-densities cross, by np.roots."""
+    m, v, w = mixture.means[:, 0], mixture.variances, mixture.weights
+    # log(w N(x; m, v)) = c - x^2/(2v) + m x/v
+    c = np.log(w) - 0.5 * np.log(2 * math.pi * v) - m**2 / (2 * v)
+    roots = []
+    for i in range(w.size):
+        for j in range(i):
+            coef = [1 / (2 * v[j]) - 1 / (2 * v[i]), m[i] / v[i] - m[j] / v[j], c[i] - c[j]]
+            roots += [r.real for r in np.roots(coef) if abs(r.imag) < 1e-12 * max(1, abs(r))]
+    return np.array(roots)
+
+
+def _certificate_slack(mixture, res):
+    """Smallest curvature margin of a certificate on a dense grid over the
+    means' span and through every crossover: -(log p)'' - alpha outside the
+    radius and -(log p)'' + beta inside."""
+    s = math.sqrt(float(np.max(mixture.variances)))
+    half = float(np.max(np.abs(mixture.means))) + 25.0 * s
+    roots = _crossover_roots(mixture)
+    xs = np.concatenate([np.linspace(-half, half, 20001), roots]
+                        + [r + np.linspace(-6.0 * s, 6.0 * s, 2401) for r in roots])
+    curv = -log_hessian(mixture, xs[:, None])[:, 0, 0]
+    outside = np.abs(xs) >= res.radius
+    return float(np.min(np.where(outside, curv - res.alpha, curv + res.beta)))
+
+
+class TestCrossovers:
+    def test_far_crossover_of_narrower_component(self):
+        # the wider component overtakes N(2, 0.9) again at x = 75.97, where
+        # -(log p)'' = -3.39 < alpha = 0.5
+        g = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 0.9)])
+        x0 = float(np.max(_crossover_roots(g)))
+        assert x0 == pytest.approx(75.96, abs=0.01)
+        assert -log_hessian(g, [x0])[0, 0] < -3.39
+        res = analyze_mixture_1d(g)
+        assert isinstance(res, MixtureAnalysis)
+        assert res.radius > x0
+        assert _certificate_slack(g, res) >= -1e-9
+
+    def test_bad_region_past_the_grid(self):
+        # the curvature stays below alpha out to |x| = 20.38, past the
+        # span + 20 sigma_max = 19.84 the grid alone covers
+        g = make_gaussian_mixture([(0.4892782139382005, [1.3066356537593258], 0.5146549508943287),
+                                   (0.5107217860617995, [-2.515624292218073], 0.7506094208198228)])
+        res = analyze_mixture_1d(g)
+        assert isinstance(res, MixtureAnalysis)
+        assert res.radius >= 20.38
+        assert analyze_mixture_1d(g, radius_cap=100.0) == res
+        assert _certificate_slack(g, res) >= -1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-4.0, 4.0), st.floats(0.2, 2.0)),
+                    min_size=2, max_size=3))
+    def test_certificate_holds_through_crossovers(self, comps):
+        g = make_gaussian_mixture([(w, [m], v) for w, m, v in comps])
+        res = analyze_mixture_1d(g, radius_cap=1e3)
+        if isinstance(res, MixtureAnalysis):
+            assert _certificate_slack(g, res) >= -1e-9

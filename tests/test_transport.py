@@ -2,11 +2,13 @@
 reverse-diffusion sampler."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
 from logheat import (
+    CapabilityError,
     NumericalError,
     PerturbationParams,
     ValidationError,
@@ -25,6 +27,7 @@ from logheat import (
     velocity_field,
 )
 from logheat import transport
+from logheat.heatflow import marginal_stats_1d
 
 
 def gaussian_1d(mean=0.0, var=1.0):
@@ -131,6 +134,23 @@ class TestBuildFlowMap:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=pattern):
             build_flow_map(standard_gaussian(1), n_points=9)
 
+    def test_nonfinite_stage_state_is_numerical(self, monkeypatch):
+        # an infinite velocity at the midpoint stages of one RK4 step makes
+        # the next stage's state infinite; the kernel rejects that state as
+        # an input, and the flow map reports it as the blow-up on leg B
+        real = transport.marginal_stats_1d
+        t_mid = 0.2995649706  # a midpoint stage time of leg B at the defaults
+
+        def stats_1d(measure, t, xs):
+            if abs(t - t_mid) < 1e-9:
+                return np.zeros_like(xs), np.full_like(xs, np.inf), np.zeros_like(xs)
+            return real(measure, t, xs)
+
+        monkeypatch.setattr(transport, "marginal_stats_1d", stats_1d)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalError, match=r"leg B, between t=0\.0001 and t=0\.5"):
+            build_flow_map(standard_gaussian(1), n_points=9)
+
 
 def quantile_map(measure, xs):
     """The exact flow map F^-1(Phi(x)): 110 bisection steps on cdf_1d over
@@ -224,6 +244,118 @@ class TestThetaEnvelope:
         # quadrature noise from the potential kink dominates below t ~ 1e-4
         assert np.all(env.theta_max <= 1e-3)
         assert np.all(env.theta_max[env.times > 1e-3] <= 1e-8)
+
+
+def theta_rows_per_time(measure, times, space):
+    """The earlier theta envelope: one OU marginal call per time, theta the
+    log-Hessian of the dilated base smoothed to variance 1 - e^{-2t}, plus 1."""
+    rows = np.array([marginal_stats_1d(measure, float(t), space)[2] + 1.0 for t in times])
+    return rows.min(axis=1), rows.max(axis=1)
+
+
+def theta_mpmath(pm, t, x):
+    """theta(t, x) of a perturbed density in 60 digits: the closed-form
+    variance of mu tilted by N(e^t x, tau), tau = e^{2t} - 1, on each panel
+    of the potential alpha y^2/2 + b_p y + a_p."""
+    with mpmath.workdps(60):
+        t, x = mpmath.mpf(t), mpmath.mpf(x)
+        tau = mpmath.expm1(2 * t)
+        z = mpmath.exp(t) * x
+        C = mpmath.mpf(pm.alpha) + 1 / tau
+        sigma = 1 / mpmath.sqrt(C)
+        s0 = s1 = s2 = mpmath.mpf(0)
+        for lo, hi, a, b in zip(pm.panel_edges[:-1], pm.panel_edges[1:], pm.panel_a, pm.panel_b):
+            B = z / tau - mpmath.mpf(b)
+            m = B / C
+            ends = [(mpmath.mpf(e) - m) / sigma if math.isfinite(e) else mpmath.mpf(e)
+                    for e in (lo, hi)]
+            pdf = [mpmath.npdf(u) for u in ends]
+            upd = [u * p if mpmath.isfinite(u) else mpmath.mpf(0) for u, p in zip(ends, pdf)]
+            if ends[0] + ends[1] > 0:  # in the upper tail Phi rounds to 1: reflect
+                mass = mpmath.ncdf(-ends[0]) - mpmath.ncdf(-ends[1])
+            else:
+                mass = mpmath.ncdf(ends[1]) - mpmath.ncdf(ends[0])
+            w = mpmath.exp(B * B / (2 * C) - mpmath.mpf(a)) * mass
+            mean = m + sigma * (pdf[0] - pdf[1]) / mass
+            var = sigma**2 * (1 + (upd[0] - upd[1]) / mass - ((pdf[0] - pdf[1]) / mass) ** 2)
+            s0, s1, s2 = s0 + w, s1 + w * mean, s2 + w * (var + mean**2)
+        var_tau = s2 / s0 - (s1 / s0) ** 2
+        return float((var_tau / tau - 1) / -mpmath.expm1(-2 * t) + 1)
+
+
+INTERIOR = make_perturbed(1, [-1, 1], [-0.5, 0, 0.5], [0, 2], [-1, 1, 0])
+THETA_TARGETS = {
+    "kink": KINK,
+    "mix": MIX,
+    "gauss-as-perturbed": make_perturbed(1.0),
+    "interior": INTERIOR,
+    "unequal-mix": make_gaussian_mixture([(0.3, [-1.0], 0.5), (0.7, [2.0], 1.5)]),
+}
+
+
+class TestThetaFromHeatTilts:
+    @pytest.mark.parametrize("name", list(THETA_TARGETS))
+    def test_matches_per_time_loop(self, name):
+        # theta from heat tilts at e^t x against the per-time OU calls, to the
+        # eps / (1 - e^{-2t}) conditioning both carry; 401 points per row, so
+        # the 200 times span 20 tilt calls
+        measure = THETA_TARGETS[name]
+        u = np.linspace(1e-3, math.sqrt(6.0), 200)
+        times, space = u * u, np.linspace(-9.0, 9.0, 401)
+        env = theta_envelope(measure, time_grid=times, space_grid=space)
+        lo, hi = theta_rows_per_time(measure, times, space)
+        tol = 1e-12 / -np.expm1(-2.0 * times)
+        assert np.all(np.abs(env.theta_min - lo) <= tol)
+        assert np.all(np.abs(env.theta_max - hi) <= tol)
+
+    def test_one_time_per_tilt_call(self):
+        # a space grid longer than a tilt block takes one call per time row
+        times, space = np.array([0.1, 0.5, 2.0]), np.linspace(-4.0, 4.0, 5001)
+        env = theta_envelope(MIX, time_grid=times, space_grid=space)
+        lo, hi = theta_rows_per_time(MIX, times, space)
+        np.testing.assert_allclose(env.theta_max, hi, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(env.theta_min, lo, rtol=0, atol=1e-11)
+
+    def test_small_time_against_mpmath(self):
+        # at t = 1e-4 theta carries the eps / (2t) conditioning of
+        # (Var/tau - 1) / (1 - e^{-2t}); on this grid the per-time OU path
+        # is off by up to 2.0e-9 pointwise and the heat tilts by 1.7e-9 at the max
+        t, space = 1e-4, np.linspace(-9.0, 9.0, 401)
+        exact = np.array([theta_mpmath(INTERIOR, t, x) for x in space])
+        env = theta_envelope(INTERIOR, time_grid=[t], space_grid=space)
+        assert abs(env.theta_max[0] - exact.max()) <= 3e-9
+        assert abs(env.theta_min[0] - exact.min()) <= 3e-9
+
+    @pytest.mark.parametrize("measure", [MIX, KINK], ids=["mix", "kink"])
+    @pytest.mark.parametrize("times, space, error", [
+        ([0.0, 1.0], None, ValidationError),
+        ([-1.0], None, ValidationError),
+        ([0.5, math.nan], None, ValidationError),
+        ([0.5, math.inf], None, ValidationError),
+        ([0.5], [0.0, math.nan], ValidationError),
+        ([0.5], [-math.inf, 0.0], ValidationError),
+    ])
+    def test_invalid_input(self, measure, times, space, error):
+        space = np.linspace(-3.0, 3.0, 7) if space is None else space
+        with pytest.raises(error):
+            theta_envelope(measure, time_grid=times, space_grid=space)
+
+    def test_two_dimensional_measure(self):
+        with pytest.raises(CapabilityError):
+            theta_envelope(standard_gaussian(2), n_times=5)
+        with pytest.raises(ValidationError):
+            theta_envelope(standard_gaussian(2), time_grid=[0.5],
+                           space_grid=np.linspace(-3.0, 3.0, 7))
+
+    @pytest.mark.parametrize("measure", [MIX, KINK], ids=["mix", "kink"])
+    @pytest.mark.parametrize("t_bad", [360.0, 800.0])
+    def test_time_beyond_overflow_named(self, measure, t_bad):
+        # e^{2t} x^2 must stay finite: t up to about 354.9 - log max(1, |x|)
+        space = np.linspace(-3.0, 3.0, 7)
+        with pytest.raises(ValidationError, match=f"t={t_bad}"):
+            theta_envelope(measure, time_grid=[0.5, t_bad], space_grid=space)
+        env = theta_envelope(measure, time_grid=[0.5, 350.0], space_grid=space)
+        assert np.all(np.abs(env.theta_max[1:]) < 1e-12)
 
 
 class TestCertificationChain:
