@@ -7,7 +7,6 @@ from .bounds import (
     cor7_envelope,
     example3_limit_check,
     integrated_ou_upper,
-    integrated_ou_upper_numeric,
     log_concavity_time,
     lsi_transfer,
     mixture_hessian_lower,
@@ -37,6 +36,7 @@ from .heatflow import (
     lemma1_check,
     log_hessian_heat,
     ou_log_derivatives,
+    tilted_log_mass,
     tilted_moments,
     wasserstein2_1d,
 )
@@ -59,7 +59,7 @@ from .measures import (
     score,
     standard_gaussian,
 )
-from .numerics import find_root_bisect, finite_diff_second
+from .numerics import find_root_bisect
 from .structure import (
     Decomposition,
     Infeasible,
@@ -77,7 +77,6 @@ from .transport import (
     pushforward_validate,
     reverse_sde_sample,
     theta_envelope,
-    velocity_field,
 )
 
 __version__ = "0.1.0"

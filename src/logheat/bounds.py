@@ -24,7 +24,6 @@ __all__ = [
     "example3_limit_check",
     "cor7_envelope",
     "integrated_ou_upper",
-    "integrated_ou_upper_numeric",
     "transport_constants",
     "lsi_transfer",
     "mixture_hessian_lower",
@@ -115,37 +114,6 @@ def integrated_ou_upper(alpha: float, lip: float) -> float:
     if lip < 0:
         raise ValidationError("lip must be nonnegative")
     return -0.5 * math.log(alpha) + lip * lip / (2.0 * alpha) + 2.0 * lip / math.sqrt(alpha)
-
-
-def integrated_ou_upper_numeric(
-    alpha: float, lip: float, tau_max: float = 1e8
-) -> tuple[float, float]:
-    """Numeric counterpart of :func:`integrated_ou_upper`.
-
-    Integrates the substituted integrand over tau = e^{2t}-1 in (0, tau_max]
-    (with tau = u^2 to remove the endpoint singularity) and adds the analytic
-    O(1/tau) tail.  Returns (value, tail_term).
-    """
-    from scipy.integrate import quad
-
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
-
-    def integrand_u(u):
-        tau = u * u
-        den = alpha * tau + 1.0
-        val = (
-            (1.0 - alpha) / den
-            + lip * lip * (tau + 1.0) / (den * den)
-            + 2.0 * lip * (tau + 1.0) / (u * den**1.5)
-        ) / (2.0 * (tau + 1.0))
-        return val * 2.0 * u
-
-    head, _ = quad(integrand_u, 0.0, math.sqrt(tau_max), limit=400)
-    tail = ((1.0 - alpha) / alpha + lip * lip / alpha**2 + 2.0 * lip / alpha**1.5) / (
-        2.0 * tau_max
-    )
-    return head + tail, tail
 
 
 def transport_constants(params: PerturbationParams) -> dict[str, float]:

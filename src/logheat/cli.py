@@ -58,11 +58,16 @@ def _fmt(x: float) -> str:
     return _FMT % float(x)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(out_dir: str | None, name: str, header: list[str], rows) -> str:
+    """Write ``rows`` to CSV file ``name`` in out_dir (default "."); returns its path."""
+    out_dir = out_dir or "."
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
 
 
 def _json_text(obj) -> str:
@@ -162,10 +167,7 @@ def _cmd_hessian_scan(args) -> int:
                             np.full_like(lam, upper_env), lam - lower_env, upper_env - lam])
     header = ["z", "lambda_min", "lambda_max", "lower_envelope", "upper_envelope",
               "slack_lower", "slack_upper"]
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "hessian_scan.csv")
-    _write_csv(csv_path, header, rows)
+    csv_path = _write_csv(args.out, "hessian_scan.csv", header, rows)
     report = {
         "command": "hessian-scan",
         "t": args.t,
@@ -183,10 +185,8 @@ def _cmd_hessian_scan(args) -> int:
 def _cmd_transport(args) -> int:
     measure = _load_measure(args.measure)
     flow = build_flow_map(measure, n_points=args.points)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "flowmap.csv")
-    _write_csv(csv_path, ["input", "image"], zip(flow.inputs, flow.images))
+    csv_path = _write_csv(args.out, "flowmap.csv", ["input", "image"],
+                          zip(flow.inputs, flow.images))
     lip_est = empirical_lipschitz(flow)
     push = pushforward_validate(flow, measure, n_samples=args.samples, seed=args.seed)
     theta = theta_envelope(measure)
@@ -294,10 +294,8 @@ def _cmd_mixture(args) -> int:
     refined, crude = bd.mixture_hessian_lower(measure, xs[:, None])
     arr = np.column_stack([xs, -ms.log_hessian(measure, xs[:, None])[:, 0, 0],
                            refined[:, 0, 0], crude[:, 0, 0]])
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "mixture_scan.csv")
-    _write_csv(csv_path, ["x", "curvature", "refined_lower", "crude_lower"], arr)
+    csv_path = _write_csv(args.out, "mixture_scan.csv",
+                          ["x", "curvature", "refined_lower", "crude_lower"], arr)
     report = {
         "command": "mixture",
         "csv": csv_path,
@@ -314,11 +312,8 @@ def _cmd_mixture(args) -> int:
 def _cmd_reverse_sde(args) -> int:
     measure = _load_measure(args.measure)
     samples = reverse_sde_sample(measure, args.n, args.steps, args.t1, seed=args.seed)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "samples.csv")
-    header = [f"x{i}" for i in range(measure.dim)]
-    _write_csv(csv_path, header, samples)
+    csv_path = _write_csv(args.out, "samples.csv", [f"x{i}" for i in range(measure.dim)],
+                          samples)
     report = {
         "command": "reverse-sde",
         "n": args.n,

@@ -1,11 +1,11 @@
 """Heat and Ornstein-Uhlenbeck semigroup quantities.
 
-Everything here derives from one batched primitive per measure family,
-``_tilt(measure, zs, t)``: the log-mass, mean and covariance of mu_{z,t}, the
-measure mu reweighted by the Gaussian kernel N(z, t I), at each row z of zs.
-The log-Hessian of mu * gamma_t is (1/t)(I - Cov(mu_{z,t})/t), and the OU
-marginal at time t is the dilated base smoothed to variance 1 - e^{-2t}.
-The module also holds the 1D quadratic Wasserstein distance.
+Everything here derives from one batched primitive, ``_tilt(measure, zs, t)``:
+the log-mass, mean and covariance of mu_{z,t}, the measure mu reweighted by
+the Gaussian kernel N(z, t I), at each row z of zs, from the family's own
+``_tilt`` kernel.  The log-Hessian of mu * gamma_t is (1/t)(I - Cov(mu_{z,t})/t),
+and the OU marginal at time t is the dilated base smoothed to variance
+1 - e^{-2t}.  The module also holds the 1D quadratic Wasserstein distance.
 """
 from __future__ import annotations
 
@@ -15,17 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as ms
-from .errors import CapabilityError, NumericalError, ValidationError
-from .measures import (
-    AtomicMeasure,
-    CounterexampleMeasure,
-    GaussianMixture,
-    PerturbedLogConcave1D,
-    _logsumexp,
-    _panel_moments,
-    _points,
-    _sorted_atoms_1d,
-)
+from .errors import CapabilityError, ValidationError
+from .measures import _points
 
 __all__ = [
     "TiltedMoments",
@@ -53,68 +44,13 @@ class TiltedMoments:
     mass_log: float
 
 
-# ---------------------------------------------------------------------------
-# the batched tilt kernels: (log_mass (n,), mean (n, d), cov (n, d, d))
-# ---------------------------------------------------------------------------
-
-def _tilt_mixture(mu: GaussianMixture, zs: np.ndarray, t):
-    """The posterior of the smoothed mixture mu * gamma_t at z: component k
-    tilts to N(m_k - s_k g_k, (s_k t / (s_k + t)) I), with g_k its component
-    score, and has weight pi_k; the covariance is pooled about the tilted mean."""
-    s = mu.variances[:, None] if isinstance(t, np.ndarray) else mu.variances  # (k, 1) vs t (n,)
-    # mu * gamma_t has variances s + t; _with_fields skips re-validation
-    _, pi, g, log_mass = ms._mixture_posterior(ms._with_fields(mu, variances=s + t), zs)
-    mean, cov = ms._pool(pi, mu.means[:, :, None] - s.reshape(-1, 1, 1) * g, s * t / (s + t))
-    return log_mass, mean.T, cov.transpose(2, 0, 1)
-
-
-def _tilt_atoms(mu, zs: np.ndarray, t):
-    """Atoms keep their locations; the tilt only reweights them.  Exponents
-    are taken about the midpoint c of the locations' span, where z.x/t and
-    |x|^2/(2t) would cancel: -|z - x|^2/2 = <z - c, x - c> - |x - c|^2/2 - |z - c|^2/2."""
-    locs = mu.locations.reshape(-1, mu.dim)
-    c = 0.5 * (locs.min(axis=0) + locs.max(axis=0))
-    xc, zc = locs - c, zs - c
-    q = np.sum(xc * xc, axis=1)
-    with np.errstate(over="ignore"):
-        l = mu.log_weights[:, None] + (xc @ zc.T - 0.5 * (q - q.min())[:, None]) / t
-        zz = np.sum(zc * zc, axis=1)
-    if not (np.all(np.isfinite(l)) and np.all(np.isfinite(zz))):
-        raise NumericalError("tilted atom weights are non-finite; recenter z before tilting")
-    lse = _logsumexp(l, axis=0)
-    mean, cov = ms._pool(np.exp(l - lse), xc[:, :, None], np.zeros(q.size))
-    log_mass = lse - (zz + q.min()) / (2.0 * t) - 0.5 * mu.dim * (_LOG_2PI + np.log(t))
-    return log_mass, mean.T + c, cov.transpose(2, 0, 1)
-
-
-def _tilt_perturbed(pm: PerturbedLogConcave1D, zs: np.ndarray, t):
-    """Closed-form truncated-Gaussian moments on each panel of the density."""
-    z = zs[:, 0]
-    B = z / t - pm.panel_b[:, None]  # (P, n)
-    A = -pm.panel_a[:, None] - z * z / (2.0 * t)
-    log_mass, mean, var = _panel_moments(pm.alpha + 1.0 / t, B, A, pm.panel_edges)
-    log_mass = log_mass - 0.5 * (_LOG_2PI + np.log(t)) - pm.log_normalizer
-    return log_mass, mean[:, None], var[:, None, None]
-
-
-_TILT = {
-    GaussianMixture: _tilt_mixture,
-    AtomicMeasure: _tilt_atoms,
-    CounterexampleMeasure: _tilt_atoms,
-    PerturbedLogConcave1D: _tilt_perturbed,
-}
-
-
 def _tilt(measure, zs: np.ndarray, t):
     """(log_mass, mean, cov) of mu_{z,t} at each row of zs, shape (n, dim),
     as checked by ``_points``; t is a float, or an (n,) array with one time
     per row."""
     if not (np.all((t > 0) & (t < math.inf)) if isinstance(t, np.ndarray) else 0 < t < math.inf):
         raise ValidationError(f"t must be positive and finite, got {t}")
-    kernel = _TILT.get(type(measure))
-    if kernel is None:
-        raise CapabilityError(f"no tilted moments for {type(measure).__name__}")
-    log_mass, mean, cov = kernel(measure, zs, t)
+    log_mass, mean, cov = ms._kernel(measure, "_tilt")(zs, t)
     return log_mass, mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
 
 
@@ -129,7 +65,8 @@ def tilted_moments(measure, z, t: float) -> TiltedMoments:
 
 
 def tilted_log_mass(measure, z, t: float):
-    """log((mu * gamma_t)(z)); density oracle for convolutions.
+    """log((mu * gamma_t)(z)), the log-density of the convolution, for every
+    family with a tilt kernel.
 
     ``z`` is one point (a float is returned) or a batch of shape (n, dim).
     """
@@ -199,10 +136,9 @@ def wasserstein2_1d(mu, nu) -> float:
     for m in (mu, nu):
         if getattr(m, "dim", None) != 1:
             raise CapabilityError("wasserstein2_1d supports 1D measures only")
-    atomic = (AtomicMeasure, CounterexampleMeasure)
-    if isinstance(mu, atomic) and isinstance(nu, atomic):
-        x1, w1 = _sorted_atoms_1d(mu)
-        x2, w2 = _sorted_atoms_1d(nu)
+    if isinstance(mu, ms._Atoms) and isinstance(nu, ms._Atoms):
+        x1, w1 = mu._sorted_1d()
+        x2, w2 = nu._sorted_1d()
         cuts = np.unique(np.concatenate([np.cumsum(w1), np.cumsum(w2), [0.0, 1.0]]))
         cuts = np.clip(cuts, 0.0, 1.0)
         mids = 0.5 * (cuts[:-1] + cuts[1:])
@@ -211,8 +147,8 @@ def wasserstein2_1d(mu, nu) -> float:
         q2 = x2[np.minimum(np.searchsorted(np.cumsum(w2), mids), x2.size - 1)]
         return float(np.sqrt(np.sum(seg * (q1 - q2) ** 2)))
     if (
-        isinstance(mu, GaussianMixture)
-        and isinstance(nu, GaussianMixture)
+        isinstance(mu, ms.GaussianMixture)
+        and isinstance(nu, ms.GaussianMixture)
         and mu.weights.size == 1
         and nu.weights.size == 1
     ):

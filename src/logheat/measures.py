@@ -1,10 +1,13 @@
 """Probability measures: Gaussian mixtures, atoms, perturbed log-concave
 densities, and the heavy-certificate atomic construction.
 
-All measures are immutable after construction.  Densities of the perturbed
-class are piecewise log-quadratic, so every Gaussian convolution / tilt has
-a closed form in terms of truncated-Gaussian integrals; the helpers at the
-top of this file implement those integrals in log-space.
+All measures are immutable after construction.  Each family owns the kernels
+it supports as methods; the public functions check their arguments and find
+the kernel through ``_kernel``, which raises ``CapabilityError`` for a family
+without it.  Densities of the perturbed class are piecewise log-quadratic, so
+every Gaussian convolution / tilt has a closed form in terms of
+truncated-Gaussian integrals; the helpers at the top of this file implement
+those integrals in log-space.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ __all__ = [
     "AtomicMeasure",
     "PerturbedLogConcave1D",
     "CounterexampleMeasure",
-    "ConvolvedDensity1D",
     "make_gaussian_mixture",
     "make_perturbed",
     "standard_gaussian",
@@ -147,28 +149,22 @@ class PiecewiseLinear:
         object.__setattr__(self, "slopes", slopes)
         kv = np.zeros(knots.size)
         if knots.size:
-            # value at each knot, anchored so that f(0) = 0
+            # value at each knot relative to the first, then anchored so that
+            # f(0) = 0 through the segment holding 0
+            kv_rel = np.concatenate([[0.0], np.cumsum(slopes[1:-1] * np.diff(knots))])
             j0 = int(np.searchsorted(knots, 0.0, side="right"))
-            kv_rel = np.zeros(knots.size)
-            for i in range(1, knots.size):
-                kv_rel[i] = kv_rel[i - 1] + slopes[i] * (knots[i] - knots[i - 1])
-            if j0 == 0:
-                f0 = kv_rel[0] + slopes[0] * (0.0 - knots[0])
-            else:
-                f0 = kv_rel[j0 - 1] + slopes[j0] * (0.0 - knots[j0 - 1])
-            kv = kv_rel - f0
+            j = max(j0 - 1, 0)
+            kv = kv_rel - (kv_rel[j] + slopes[j0] * (0.0 - knots[j]))
         object.__setattr__(self, "knot_values", kv)
 
     def segment_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-segment (a_j, b_j) with f(x) = a_j + b_j x on segment j."""
-        n = self.knots.size
+        """Per-segment (a_j, b_j) with f(x) = a_j + b_j x on segment j: each
+        segment is anchored at its left knot, the first at the first knot."""
         b = self.slopes.copy()
-        a = np.zeros(n + 1)
-        if n:
-            a[0] = self.knot_values[0] - b[0] * self.knots[0]
-            for j in range(1, n + 1):
-                a[j] = self.knot_values[j - 1] - b[j] * self.knots[j - 1]
-        return a, b
+        if not self.knots.size:
+            return np.zeros(1), b
+        kv, k = self.knot_values, self.knots
+        return np.concatenate([kv[:1], kv]) - b * np.concatenate([k[:1], k]), b
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -185,7 +181,73 @@ class PiecewiseLinear:
 
 
 # ---------------------------------------------------------------------------
-# measure classes
+# helpers shared by the family kernels
+# ---------------------------------------------------------------------------
+
+def _points(measure, x) -> tuple[np.ndarray, bool]:
+    """x as a batch of shape (n, dim), and whether it was a single point
+    (shape (dim,), or a scalar in 1D).  Non-finite coordinates are rejected."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim <= 1
+    zs = x.reshape(1, -1) if single else x
+    if zs.ndim != 2 or zs.shape[1] != measure.dim:
+        raise ValidationError(f"points have shape {x.shape}, expected dim {measure.dim}")
+    if not np.isfinite(zs).all():
+        raise ValidationError("points must be finite")
+    return zs, single
+
+
+def _mixture_posterior(mu: GaussianMixture, xs: np.ndarray):
+    """Component logits log(w_k N(x; m_k, v_k I)) (k, n), posterior
+    responsibilities (k, n), component scores -(x - m_k)/v_k (k, d, n) and
+    the log-density (n,), at each row x of xs; the component axis leads, so
+    each reduction over it adds whole rows (see ``_logsumexp``).  Variances: (k,) or (k, n)."""
+    v = mu.variances.reshape(mu.weights.size, -1)
+    dm = mu.means[:, :, None] - xs.T[None, :, :]
+    logits = (
+        np.log(mu.weights)[:, None] - 0.5 * mu.dim * (_LOG_2PI + np.log(v))
+    ) - 0.5 * np.sum(dm * dm, axis=1) / v
+    # normalized by their sum, not by the log-sum-exp: with logits of 1e107,
+    # adding log 2 changes nothing, and the responsibilities would sum to 2
+    m = np.max(logits, axis=0)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(logits - m)
+    total = np.sum(e, axis=0)
+    return logits, e / total, dm / v[:, None], np.log(total) + m
+
+
+def _pool(r, vecs, diag):
+    """Mean (d, n) and covariance (d, d, n), pooled about the mean, of the
+    mixture with weights r (k, n) of N(vecs_k, var_k I), vecs (k, d, n); diag
+    is the pooled variance sum_k r_k var_k, (n,) or a scalar."""
+    mean = np.einsum("kn,kin->in", r, vecs)
+    c = vecs - mean
+    cov = np.einsum("kn,kin,kjn->ijn", r, c, c, order="C")  # so reshape is a view
+    cov.reshape(-1, cov.shape[2])[:: mean.shape[0] + 1] += diag
+    return mean, cov
+
+
+def _with_fields(obj, **fields):
+    """Shallow copy of a frozen dataclass with ``fields`` replaced and
+    ``__post_init__`` skipped: the caller keeps the fields consistent."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(obj.__dict__, **fields)
+    return out
+
+
+def _quantile_grid(measure, u: np.ndarray, n_grid: int = 8001) -> np.ndarray:
+    """Inverse CDF at u, interpolated in a monotone (cdf, x) table of a 1D density."""
+    mean, var = mean_variance_1d(measure)
+    half = 10.0 * math.sqrt(var) + 1.0
+    xs = np.linspace(mean - half, mean + half, n_grid)
+    cdf = np.maximum.accumulate(cdf_1d(measure, xs))
+    return np.interp(u, cdf, xs)
+
+
+# ---------------------------------------------------------------------------
+# measure classes and their kernels: _tilt(zs, t) gives (log_mass (n,), mean
+# (n, d), cov (n, d, d)) of mu_{z,t} at (n, d) points zs, with t a float or one
+# per row; _log_density, _score and _log_hessian take the same points
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -217,9 +279,126 @@ class GaussianMixture:
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
 
+    def _tilt(self, zs, t):
+        """The posterior of the smoothed mixture mu * gamma_t at z: component k
+        tilts to N(m_k - s_k g_k, (s_k t / (s_k + t)) I), with g_k its component
+        score, and has weight pi_k; the covariance is pooled about the tilted mean."""
+        s = self.variances[:, None] if isinstance(t, np.ndarray) else self.variances  # vs t (n,)
+        # mu * gamma_t has variances s + t; _with_fields skips re-validation
+        _, pi, g, log_mass = _mixture_posterior(_with_fields(self, variances=s + t), zs)
+        var = s * t / (s + t)
+        diag = var @ pi if var.ndim == 1 else np.einsum("kn,kn->n", var, pi)
+        mean, cov = _pool(pi, self.means[:, :, None] - s.reshape(-1, 1, 1) * g, diag)
+        return log_mass, mean.T, cov.transpose(2, 0, 1)
+
+    def _log_density(self, zs):
+        return _mixture_posterior(self, zs)[3]
+
+    def _score(self, zs):
+        _, r, g, _ = _mixture_posterior(self, zs)
+        return np.einsum("kn,kin->ni", r, g)
+
+    def _log_hessian(self, zs):
+        _, r, g, _ = _mixture_posterior(self, zs)
+        # -sum_k r_k / v_k nearly cancels the pooled scores where the log-Hessian
+        # is near zero, so it is summed along contiguous (n, k) rows, in the
+        # order of the (n, k, d) layout; -1/v @ r sums it in another order
+        diag = np.ascontiguousarray(r.T) @ (-1.0 / self.variances)
+        return _pool(r, g, diag)[1].transpose(2, 0, 1)
+
+    def _convolve(self, t):
+        return GaussianMixture(dim=self.dim, weights=self.weights, means=self.means,
+                               variances=self.variances + t)
+
+    def _dilate(self, c):
+        # a field copy: only the scaled means and variances can leave the
+        # valid range, by overflow or underflow, which the check reports
+        with np.errstate(over="ignore", under="ignore"):
+            means, variances = self.means * c, self.variances * c * c
+        if not (np.all(np.isfinite(means)) and np.all((variances > 0) & (variances < math.inf))):
+            raise ValidationError(f"dilation by {c!r} takes the mixture's means or "
+                                  "variances out of the finite positive range")
+        return _with_fields(self, means=means, variances=variances)
+
+    def _mean_variance(self):
+        if self.dim != 1:
+            raise CapabilityError("1D only")
+        m = self.means[:, 0]
+        mean = float(np.dot(self.weights, m))
+        return mean, float(np.dot(self.weights, self.variances + (m - mean) ** 2))
+
+    def _cdf(self, x):
+        if self.dim != 1:
+            raise CapabilityError("1D only")
+        from scipy.special import ndtr
+
+        z = (x[:, None] - self.means[None, :, 0]) / np.sqrt(self.variances)[None, :]
+        return ndtr(z) @ self.weights
+
+    def _quantile(self, u):
+        if self.weights.size > 1:
+            return _quantile_grid(self, u)
+        from scipy.special import ndtri
+
+        return float(self.means[0, 0]) + math.sqrt(float(self.variances[0])) * ndtri(u)
+
+    def _sample(self, rng, n):
+        idx = rng.choice(self.weights.size, size=n, p=self.weights)
+        g = rng.standard_normal((n, self.dim))
+        return self.means[idx] + np.sqrt(self.variances[idx])[:, None] * g
+
+
+class _Atoms:
+    """Kernels shared by the finite atomic measures, ``AtomicMeasure`` and
+    ``CounterexampleMeasure``: ``locations`` and normalized ``log_weights``."""
+
+    def _tilt(self, zs, t):
+        """Atoms keep their locations; the tilt only reweights them.  Exponents
+        are taken about the midpoint c of the locations' span, where z.x/t and
+        |x|^2/(2t) would cancel: -|z - x|^2/2 = <z - c, x - c> - |x - c|^2/2 - |z - c|^2/2.
+        Moments are pooled about each row's heaviest atom: a mean near it keeps its digits."""
+        locs = self.locations.reshape(-1, self.dim)
+        c = 0.5 * (locs.min(axis=0) + locs.max(axis=0))
+        xc, zc = locs - c, zs - c
+        q = np.sum(xc * xc, axis=1)
+        with np.errstate(over="ignore"):
+            l = self.log_weights[:, None] + (xc @ zc.T - 0.5 * (q - q.min())[:, None]) / t
+            zz = np.sum(zc * zc, axis=1)
+        if not (np.all(np.isfinite(l)) and np.all(np.isfinite(zz))):
+            raise NumericalError("tilted atom weights are non-finite; recenter z before tilting")
+        lse = _logsumexp(l, axis=0)
+        pivot = locs[np.argmax(l, axis=0)]  # (n, d)
+        mean, cov = _pool(np.exp(l - lse), locs[:, :, None] - pivot.T, 0.0)
+        log_mass = lse - (zz + q.min()) / (2.0 * t) - 0.5 * self.dim * (_LOG_2PI + np.log(t))
+        return log_mass, mean.T + pivot, cov.transpose(2, 0, 1)
+
+    def _sorted_1d(self) -> tuple[np.ndarray, np.ndarray]:
+        """Locations in increasing order, and their normalized weights (1D only)."""
+        if self.dim != 1:
+            raise CapabilityError("1D only")
+        xs = self.locations.reshape(-1)
+        order = np.argsort(xs)
+        lw = self.log_weights
+        return xs[order], np.exp(lw - _logsumexp(lw))[order]
+
+    def _mean_variance(self):
+        x, w = self._sorted_1d()
+        mean = float(np.dot(w, x))
+        return mean, float(np.dot(w, (x - mean) ** 2))
+
+    def _cdf(self, x):
+        xs, w = self._sorted_1d()
+        idx = np.searchsorted(xs, x, side="right")
+        return np.concatenate([[0.0], np.cumsum(w)])[idx]
+
+    def _quantile(self, u):
+        xs, w = self._sorted_1d()
+        idx = np.minimum(np.searchsorted(np.cumsum(w), u, side="left"), xs.size - 1)
+        return xs[idx]
+
 
 @dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(_Atoms):
     """Finite weighted sum of Dirac masses."""
 
     dim: int
@@ -243,6 +422,16 @@ class AtomicMeasure:
     @property
     def log_weights(self) -> np.ndarray:
         return np.log(self.weights)
+
+    def _convolve(self, t):
+        return GaussianMixture(dim=self.dim, weights=self.weights, means=self.locations,
+                               variances=np.full(self.weights.size, float(t)))
+
+    def _dilate(self, c):
+        return AtomicMeasure(dim=self.dim, weights=self.weights, locations=self.locations * c)
+
+    def _sample(self, rng, n):
+        return self.locations[rng.choice(self.weights.size, size=n, p=self.weights)]
 
 
 @dataclass(frozen=True)
@@ -276,12 +465,8 @@ class PerturbedLogConcave1D:
         edges = np.concatenate([[-np.inf], knots, [np.inf]])
         # combined linear part a_p + b_p x of V_extra + H on each panel,
         # sampled at panel midpoints
-        if knots.size:
-            mids = np.concatenate(
-                [[knots[0] - 1.0], 0.5 * (knots[:-1] + knots[1:]), [knots[-1] + 1.0]]
-            )
-        else:
-            mids = np.array([0.0])
+        mids = np.concatenate([knots[:1] - 1.0, 0.5 * (knots[:-1] + knots[1:]), knots[-1:] + 1.0]
+                              ) if knots.size else np.zeros(1)
         av, bv = self.v_extra.segment_coeffs()
         ah, bh = self.h.segment_coeffs()
         iv = np.searchsorted(self.v_extra.knots, mids, side="right")
@@ -305,9 +490,71 @@ class PerturbedLogConcave1D:
         x = np.asarray(x, dtype=float)
         return self.alpha * x + self.v_extra.slope_at(x) + self.h.slope_at(x)
 
+    def _tilt(self, zs, t):
+        """Closed-form truncated-Gaussian moments on each panel of the density."""
+        z = zs[:, 0]
+        B = z / t - self.panel_b[:, None]  # (P, n)
+        A = -self.panel_a[:, None] - z * z / (2.0 * t)
+        log_mass, mean, var = _panel_moments(self.alpha + 1.0 / t, B, A, self.panel_edges)
+        log_mass = log_mass - 0.5 * (_LOG_2PI + np.log(t)) - self.log_normalizer
+        return log_mass, mean[:, None], var[:, None, None]
+
+    def _log_density(self, zs):
+        return -self.potential(zs[:, 0]) - self.log_normalizer
+
+    def _score(self, zs):
+        return -self.potential_slope(zs)
+
+    def _log_hessian(self, zs):
+        return np.full((zs.shape[0], 1, 1), -self.alpha)
+
+    def _dilate(self, c):
+        # cX has potential W(y/c): knots and edges scale by c, slopes by 1/c, alpha by
+        # 1/c^2 (kept positive and finite, as are the slopes squared by a tilt); knot
+        # values and panel offsets are kept, and the normalizing integral gains a factor c
+        c = float(c)  # Python floats overflow to inf without a warning
+        cc, b = c * c, max(abs(x) for x in self.panel_b.tolist()) / c
+        if not (cc > 0 and 0 < float(self.alpha) / cc < math.inf and b * b < math.inf):
+            raise ValidationError(f"dilation by {c!r} takes the density's precision alpha/c^2 "
+                                  "or its squared panel slopes out of the float range")
+        v, h = self.v_extra, self.h
+        return _with_fields(
+            self,
+            alpha=self.alpha / cc,
+            v_extra=_with_fields(v, knots=v.knots * c, slopes=v.slopes / c),
+            h=_with_fields(h, knots=h.knots * c, slopes=h.slopes / c),
+            lip=self.lip / c,
+            log_normalizer=self.log_normalizer + math.log(c),
+            panel_edges=self.panel_edges * c,
+            panel_b=self.panel_b / c,
+        )
+
+    def _mean_variance(self):
+        _, mean, var = _panel_moments(self.alpha, -self.panel_b, -self.panel_a, self.panel_edges)
+        return float(mean), float(var)
+
+    def _cdf(self, x):
+        # the whole panels below the panel k holding x, plus panel k over [edge k, x]
+        C, edges = self.alpha, self.panel_edges
+        m, sigma = -self.panel_b / C, 1.0 / math.sqrt(C)
+        log_scale = (0.5 * C * m * m - self.panel_a + 0.5 * math.log(2.0 * math.pi / C)
+                     - self.log_normalizer)
+        lo, hi = (edges[:-1] - m) / sigma, (edges[1:] - m) / sigma
+        k = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, m.size - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # empty piece: x on edge k
+            part = _log_gauss_mass(lo[k], (x - m[k]) / sigma)
+        below = np.concatenate([[0.0], np.cumsum(np.exp(log_scale + _log_gauss_mass(lo, hi)))])
+        return np.clip(below[k] + np.exp(log_scale[k] + part), 0.0, 1.0)
+
+    def _quantile(self, u):
+        return _quantile_grid(self, u)
+
+    def _sample(self, rng, n):
+        return self._quantile(rng.uniform(size=n))[:, None]
+
 
 @dataclass(frozen=True)
-class CounterexampleMeasure:
+class CounterexampleMeasure(_Atoms):
     """Atoms at x_i = i(i+1)/2 with weights prop. to (i+1)^-2 exp(-psi(x_i)).
 
     The infinite series is truncated at index ``truncation``; weights are
@@ -347,6 +594,10 @@ class CounterexampleMeasure:
         object.__setattr__(
             self, "exp_psi_moment", (math.pi**2 / 6.0) / math.exp(logZ)
         )
+
+    def _sample(self, rng, n):
+        w = np.exp(self.log_weights)
+        return self.locations[rng.choice(self.locations.size, size=n, p=w / np.sum(w))][:, None]
 
 
 Measure = GaussianMixture | AtomicMeasure | PerturbedLogConcave1D | CounterexampleMeasure
@@ -404,276 +655,70 @@ def standard_gaussian(dim: int = 1) -> GaussianMixture:
 
 
 # ---------------------------------------------------------------------------
-# densities, scores, Hessians
+# the public per-family functions
 # ---------------------------------------------------------------------------
 
-def _points(measure, x) -> tuple[np.ndarray, bool]:
-    """x as a batch of shape (n, dim), and whether it was a single point
-    (shape (dim,), or a scalar in 1D).  Non-finite coordinates are rejected."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    zs = x.reshape(1, -1) if single else x
-    if zs.ndim != 2 or zs.shape[1] != measure.dim:
-        raise ValidationError(f"points have shape {x.shape}, expected dim {measure.dim}")
-    if not np.isfinite(zs).all():
-        raise ValidationError("points must be finite")
-    return zs, single
+def _kernel(measure, name: str):
+    """A measure's bound kernel ``name``; the one place that reports a family without it."""
+    kernel = getattr(measure, name, None)
+    if kernel is None:
+        raise CapabilityError(f"{type(measure).__name__} has no {name[1:]} kernel")
+    return kernel
 
 
-def _mixture_posterior(mu: GaussianMixture, xs: np.ndarray):
-    """Component logits log(w_k N(x; m_k, v_k I)) (k, n), posterior
-    responsibilities (k, n), component scores -(x - m_k)/v_k (k, d, n) and
-    the log-density (n,), at each row x of xs; the component axis leads, so
-    each reduction over it adds whole rows (see ``_logsumexp``).  Variances: (k,) or (k, n)."""
-    v = mu.variances.reshape(mu.weights.size, -1)
-    dm = mu.means[:, :, None] - xs.T[None, :, :]
-    logits = (
-        np.log(mu.weights)[:, None] - 0.5 * mu.dim * (_LOG_2PI + np.log(v))
-    ) - 0.5 * np.sum(dm * dm, axis=1) / v
-    log_density = _logsumexp(logits, axis=0)
-    resp = np.exp(logits - log_density)
-    return logits, resp, dm / v[:, None], log_density
-
-
-def _pool(r, vecs, var):
-    """Mean (d, n) and covariance (d, d, n), pooled about the mean, of the
-    mixture with weights r (k, n) of N(vecs_k, var_k I), vecs (k, d, n), and
-    var (k,) or, one per point, (k, n)."""
-    mean = np.einsum("kn,kin->in", r, vecs)
-    c = vecs - mean
-    cov = np.einsum("kn,kin,kjn->ijn", r, c, c, order="C")  # so reshape is a view
-    diag = var @ r if var.ndim == 1 else np.einsum("kn,kn->n", var, r)
-    cov.reshape(-1, cov.shape[2])[:: mean.shape[0] + 1] += diag
-    return mean, cov
-
-
-def _density_points(measure, x) -> tuple[np.ndarray, bool]:
-    """``_points`` for a measure with a density: a mixture or a perturbed one."""
-    if not isinstance(measure, (GaussianMixture, PerturbedLogConcave1D)):
-        raise CapabilityError(f"{type(measure).__name__} has no density")
-    return _points(measure, x)
+def _at_points(measure, name: str, x):
+    """Kernel ``name`` at one point (its row) or at each row of a batch."""
+    kernel = _kernel(measure, name)
+    zs, single = _points(measure, x)
+    out = kernel(zs)
+    return out[0] if single else out
 
 
 def log_density(measure: Measure, x):
     """Log-density at one point (a float) or at each row of a batch of shape
     (n, dim) (an (n,) array)."""
-    zs, single = _density_points(measure, x)
-    if isinstance(measure, GaussianMixture):
-        out = _mixture_posterior(measure, zs)[3]
-    else:
-        out = -measure.potential(zs[:, 0]) - measure.log_normalizer
-    return float(out[0]) if single else out
+    out = _at_points(measure, "_log_density", x)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def score(measure: Measure, x) -> np.ndarray:
     """Gradient of the log-density: (dim,) at a point, (n, dim) for a batch."""
-    zs, single = _density_points(measure, x)
-    if isinstance(measure, GaussianMixture):
-        _, r, g, _ = _mixture_posterior(measure, zs)
-        out = np.einsum("kn,kin->ni", r, g)
-    else:
-        out = -measure.potential_slope(zs)
-    return out[0] if single else out
+    return _at_points(measure, "_score", x)
 
 
 def log_hessian(measure: Measure, x) -> np.ndarray:
     """Hessian of the log-density as a full symmetric matrix: (dim, dim) at a
     point, (n, dim, dim) for a batch."""
-    zs, single = _density_points(measure, x)
-    if isinstance(measure, GaussianMixture):
-        _, r, g, _ = _mixture_posterior(measure, zs)
-        out = _pool(r, g, -1.0 / measure.variances)[1].transpose(2, 0, 1)
-    else:
-        out = np.full((zs.shape[0], 1, 1), -measure.alpha)
-    return out[0] if single else out
+    return _at_points(measure, "_log_hessian", x)
 
 
-# ---------------------------------------------------------------------------
-# Gaussian convolution and dilation
-# ---------------------------------------------------------------------------
-
-class ConvolvedDensity1D:
-    """Density oracle for mu * gamma_t when mu has no closed-form class."""
-
-    def __init__(self, base: Measure, t: float):
-        if not t > 0:
-            raise ValidationError("t must be positive")
-        self.base = base
-        self.t = float(t)
-        self.dim = 1
-
-    def log_pdf(self, z):
-        """Log-density at one point, or at each row of a batch of shape (n, 1)."""
-        from .heatflow import tilted_log_mass
-
-        return tilted_log_mass(self.base, z, self.t)
-
-    def pdf(self, z):
-        return np.exp(self.log_pdf(z))
-
-    def log_hessian_at(self, z):
-        from .heatflow import log_hessian_heat
-
-        return log_hessian_heat(self.base, z, self.t)
-
-
-def convolve_gaussian(measure: Measure, t: float):
-    """Heat semigroup at time t: mu -> mu * gamma_t."""
+def convolve_gaussian(measure: Measure, t: float) -> GaussianMixture:
+    """Heat semigroup at time t: mu -> mu * gamma_t, a mixture, for mixtures and
+    atoms; ``heatflow.tilted_log_mass`` gives its log-density for every family."""
     if not t > 0:
         raise ValidationError("t must be positive")
-    if isinstance(measure, GaussianMixture):
-        return GaussianMixture(
-            dim=measure.dim,
-            weights=measure.weights,
-            means=measure.means,
-            variances=measure.variances + t,
-        )
-    if isinstance(measure, AtomicMeasure):
-        return GaussianMixture(
-            dim=measure.dim,
-            weights=measure.weights,
-            means=measure.locations,
-            variances=np.full(measure.weights.size, float(t)),
-        )
-    if isinstance(measure, (PerturbedLogConcave1D, CounterexampleMeasure)):
-        return ConvolvedDensity1D(measure, t)
-    raise CapabilityError(f"cannot convolve {type(measure).__name__}")
-
-
-def _with_fields(obj, **fields):
-    """Shallow copy of a frozen dataclass with ``fields`` replaced and
-    ``__post_init__`` skipped: the caller keeps the fields consistent."""
-    out = object.__new__(type(obj))
-    out.__dict__.update(obj.__dict__, **fields)
-    return out
+    return _kernel(measure, "_convolve")(t)
 
 
 def dilate(measure: Measure, c: float):
     """Law of c*X for X ~ measure (0 < c < inf)."""
     if not 0 < c < math.inf:
         raise ValidationError("dilation factor must be positive and finite")
-    if isinstance(measure, GaussianMixture):
-        # a field copy: only the scaled means and variances can leave the
-        # valid range, by overflow or underflow, which the check reports
-        with np.errstate(over="ignore", under="ignore"):
-            means, variances = measure.means * c, measure.variances * c * c
-        if not (np.all(np.isfinite(means)) and np.all((variances > 0) & (variances < math.inf))):
-            raise ValidationError(f"dilation by {c!r} takes the mixture's means or "
-                                  "variances out of the finite positive range")
-        return _with_fields(measure, means=means, variances=variances)
-    if isinstance(measure, AtomicMeasure):
-        return AtomicMeasure(
-            dim=measure.dim, weights=measure.weights, locations=measure.locations * c
-        )
-    if isinstance(measure, PerturbedLogConcave1D):
-        # cX has potential W(y/c): knots and panel edges scale by c, slopes
-        # by 1/c and alpha by 1/c^2; knot values and panel offsets are kept,
-        # and the normalizing integral gains a factor c
-        v, h = measure.v_extra, measure.h
-        return _with_fields(
-            measure,
-            alpha=measure.alpha / (c * c),
-            v_extra=_with_fields(v, knots=v.knots * c, slopes=v.slopes / c),
-            h=_with_fields(h, knots=h.knots * c, slopes=h.slopes / c),
-            lip=measure.lip / c,
-            log_normalizer=measure.log_normalizer + math.log(c),
-            panel_edges=measure.panel_edges * c,
-            panel_b=measure.panel_b / c,
-        )
-    raise CapabilityError(f"cannot dilate {type(measure).__name__}")
+    return _kernel(measure, "_dilate")(c)
 
-
-# ---------------------------------------------------------------------------
-# moments, CDFs, sampling
-# ---------------------------------------------------------------------------
 
 def mean_variance_1d(measure) -> tuple[float, float]:
-    if isinstance(measure, GaussianMixture):
-        if measure.dim != 1:
-            raise CapabilityError("1D only")
-        m = measure.means[:, 0]
-        mean = float(np.dot(measure.weights, m))
-        var = float(np.dot(measure.weights, measure.variances + (m - mean) ** 2))
-        return mean, var
-    if isinstance(measure, (AtomicMeasure, CounterexampleMeasure)):
-        x, w = _sorted_atoms_1d(measure)
-        mean = float(np.dot(w, x))
-        return mean, float(np.dot(w, (x - mean) ** 2))
-    if isinstance(measure, PerturbedLogConcave1D):
-        _, mean, var = _panel_moments(
-            measure.alpha, -measure.panel_b, -measure.panel_a, measure.panel_edges
-        )
-        return float(mean), float(var)
-    raise CapabilityError(f"no moments for {type(measure).__name__}")
-
-
-def _sorted_atoms_1d(measure) -> tuple[np.ndarray, np.ndarray]:
-    """Locations of a 1D atomic measure in increasing order, and their
-    normalized weights."""
-    if measure.dim != 1:
-        raise CapabilityError("1D only")
-    xs = measure.locations.reshape(-1)
-    order = np.argsort(xs)
-    lw = measure.log_weights
-    return xs[order], np.exp(lw - _logsumexp(lw))[order]
+    return _kernel(measure, "_mean_variance")()
 
 
 def cdf_1d(measure, x) -> np.ndarray:
     """CDF evaluated at a scalar or array of points (1D measures only)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(measure, GaussianMixture):
-        if measure.dim != 1:
-            raise CapabilityError("1D only")
-        from scipy.special import ndtr
-
-        z = (x[:, None] - measure.means[None, :, 0]) / np.sqrt(measure.variances)[None, :]
-        return ndtr(z) @ measure.weights
-    if isinstance(measure, (AtomicMeasure, CounterexampleMeasure)):
-        xs, w = _sorted_atoms_1d(measure)
-        cum = np.cumsum(w)
-        idx = np.searchsorted(xs, x, side="right")
-        return np.concatenate([[0.0], cum])[idx]
-    if isinstance(measure, PerturbedLogConcave1D):
-        # the whole panels below the panel k holding x, plus panel k over [edge k, x]
-        C, edges = measure.alpha, measure.panel_edges
-        m, sigma = -measure.panel_b / C, 1.0 / math.sqrt(C)
-        log_scale = (0.5 * C * m * m - measure.panel_a + 0.5 * math.log(2.0 * math.pi / C)
-                     - measure.log_normalizer)
-        lo, hi = (edges[:-1] - m) / sigma, (edges[1:] - m) / sigma
-        k = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, m.size - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # empty piece: x on edge k
-            part = _log_gauss_mass(lo[k], (x - m[k]) / sigma)
-        below = np.concatenate([[0.0], np.cumsum(np.exp(log_scale + _log_gauss_mass(lo, hi)))])
-        return np.clip(below[k] + np.exp(log_scale[k] + part), 0.0, 1.0)
-    raise CapabilityError(f"no cdf for {type(measure).__name__}")
-
-
-def _quantile_grid(measure, n_grid: int = 8001) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone (cdf, x) table for inverse-CDF lookups on a 1D density."""
-    mean, var = mean_variance_1d(measure)
-    half = 10.0 * math.sqrt(var) + 1.0
-    xs = np.linspace(mean - half, mean + half, n_grid)
-    cdf = cdf_1d(measure, xs)
-    cdf = np.maximum.accumulate(cdf)
-    return cdf, xs
+    return _kernel(measure, "_cdf")(np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 def quantile_1d(measure, u) -> np.ndarray:
     """Generalized inverse CDF at probabilities u (1D measures)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if isinstance(measure, GaussianMixture) and measure.weights.size == 1:
-        from scipy.special import ndtri
-
-        m = float(measure.means[0, 0])
-        s = math.sqrt(float(measure.variances[0]))
-        return m + s * ndtri(u)
-    if isinstance(measure, (AtomicMeasure, CounterexampleMeasure)):
-        xs, w = _sorted_atoms_1d(measure)
-        cum = np.cumsum(w)
-        idx = np.minimum(np.searchsorted(cum, u, side="left"), xs.size - 1)
-        return xs[idx]
-    cdf, xs = _quantile_grid(measure)
-    return np.interp(u, cdf, xs)
+    return _kernel(measure, "_quantile")(np.atleast_1d(np.asarray(u, dtype=float)))
 
 
 def sample(measure, n: int, seed: int = 0) -> np.ndarray:
@@ -683,24 +728,7 @@ def sample(measure, n: int, seed: int = 0) -> np.ndarray:
     """
     if not (n >= 1 and seed >= 0):
         raise ValidationError("need n >= 1 and seed >= 0")
-    rng = np.random.default_rng(seed)
-    if isinstance(measure, GaussianMixture):
-        idx = rng.choice(measure.weights.size, size=n, p=measure.weights)
-        g = rng.standard_normal((n, measure.dim))
-        return measure.means[idx] + np.sqrt(measure.variances[idx])[:, None] * g
-    if isinstance(measure, AtomicMeasure):
-        idx = rng.choice(measure.weights.size, size=n, p=measure.weights)
-        return measure.locations[idx]
-    if isinstance(measure, CounterexampleMeasure):
-        xs = measure.locations
-        w = np.exp(measure.log_weights)
-        w = w / np.sum(w)
-        idx = rng.choice(xs.size, size=n, p=w)
-        return xs[idx][:, None]
-    if isinstance(measure, PerturbedLogConcave1D):
-        u = rng.uniform(size=n)
-        return quantile_1d(measure, u)[:, None]
-    raise CapabilityError(f"cannot sample {type(measure).__name__}")
+    return _kernel(measure, "_sample")(np.random.default_rng(seed), n)
 
 
 # ---------------------------------------------------------------------------

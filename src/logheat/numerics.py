@@ -1,8 +1,7 @@
 """Deterministic numerical kernels.
 
-Bracketed bisection, classical RK4 integration (forward or backward in time),
-and central finite differences.  Everything here is a pure function of its
-inputs.
+Bracketed bisection and classical RK4 integration (forward or backward in
+time).  Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from .errors import BracketError, NumericalError, ValidationError
 __all__ = [
     "find_root_bisect",
     "rk4",
-    "finite_diff_second",
 ]
 
 
@@ -62,14 +60,3 @@ def rk4(f, y: np.ndarray, s0: float, s1: float, n: int) -> np.ndarray:
             bad = int(np.argmax(~np.isfinite(y)))
             raise NumericalError(f"ODE state blew up near t={times[k+1]} (point {bad})")
     return y
-
-
-def finite_diff_second(f: Callable[[float], float], x: float, h: float) -> float:
-    """Central second difference, O(h^2) accurate."""
-    if not h > 0:
-        raise ValidationError("h must be positive")
-    vals = np.array([f(x - h), f(x), f(x + h)], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError(f"non-finite value near x={x}")
-    return float((vals[0] - 2.0 * vals[1] + vals[2]) / (h * h))
-

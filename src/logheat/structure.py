@@ -15,9 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .bounds import mixture_hessian_lower
-from .errors import PreconditionError, ValidationError
+from .errors import NumericalError, PreconditionError, ValidationError
 from .measures import GaussianMixture
-from .numerics import finite_diff_second
 
 __all__ = [
     "Decomposition",
@@ -82,8 +81,8 @@ def lemma4_decompose(
 
     The hypotheses U'' >= alpha for |x| >= radius and U'' >= -beta for
     |x| < radius are verified by central differences on a uniform grid over
-    [-radius - grid_halfwidth, radius + grid_halfwidth]; a violation raises
-    PreconditionError naming the offending point.
+    [-radius - grid_halfwidth, radius + grid_halfwidth]; the first violation
+    raises PreconditionError naming the point, a non-finite U NumericalError.
     """
     if beta < 0 or radius < 0:
         raise ValidationError("beta and radius must be nonnegative")
@@ -92,18 +91,22 @@ def lemma4_decompose(
     half = radius + grid_halfwidth
     n = int(np.ceil(2.0 * half / grid_step)) + 1
     grid = np.linspace(-half, half, n)
-    tol = 1e-6
-    for x in grid:
-        u2 = finite_diff_second(U, float(x), 1e-4)
-        if abs(x) >= radius:
-            if u2 < alpha - tol:
-                raise PreconditionError(
-                    f"U''({x:.6g}) = {u2:.6g} < alpha = {alpha} outside radius {radius}"
-                )
-        elif u2 < -beta - tol:
-            raise PreconditionError(
-                f"U''({x:.6g}) = {u2:.6g} < -beta = {-beta} inside radius {radius}"
-            )
+    h, tol = 1e-4, 1e-6
+    vals = np.array([U(x) for x in np.concatenate([grid - h, grid, grid + h]).tolist()],
+                    dtype=float).reshape(3, n)
+    finite = np.all(np.isfinite(vals), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u2 = (vals[0] - 2.0 * vals[1] + vals[2]) / (h * h)
+    outside = np.abs(grid) >= radius
+    bad = ~finite | (u2 < np.where(outside, alpha, -beta) - tol)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        x = float(grid[i])
+        if not finite[i]:
+            raise NumericalError(f"non-finite value near x={x}")
+        name, bound = ("alpha", alpha) if outside[i] else ("-beta", -beta)
+        raise PreconditionError(f"U''({x:.6g}) = {u2[i]:.6g} < {name} = {bound} "
+                                f"{'outside' if outside[i] else 'inside'} radius {radius}")
 
     H = _hull(alpha, beta, radius)
 
@@ -133,10 +136,33 @@ def _search_points(mixture: GaussianMixture) -> tuple[np.ndarray, float]:
     c = m[j] ** 2 / v[j] - m[i] ** 2 / v[i] + 2.0 * np.log(w[i] / w[j]) - np.log(v[i] / v[j])
     disc = b * b - 4.0 * a * c
     q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))  # no cancellation
-    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 or q = 0: no such root
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a = 0 or q = 0: no root
         roots = np.concatenate([q / a, c / q])[np.tile(disc >= 0, 2)]
-    windows = roots[np.isfinite(roots), None] + step * np.arange(-200, 201)
+    # a root at |x| >= 1e150 belongs to an equal-variance pair (a = 0, root -c/b with
+    # b = 2 dm/v) with dm <~ |c| v 1e-150; its scores differ by dm/v everywhere, so it
+    # lowers the curvature by at most (dm/v)^2/4 < 1e-300 c^2, and a window would overflow
+    windows = roots[np.abs(roots) < 1e150, None] + step * np.arange(-200, 201)
     return np.concatenate([-xs[:0:-1], xs, windows.ravel()]), step
+
+
+def _refine_minima(mixture: GaussianMixture, xs: np.ndarray, vals: np.ndarray, step: float,
+                   below: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points and curvature-bound values about each strict local minimum of
+    ``vals`` below ``below`` among neighbouring search points (a step apart),
+    where a dip can fall below both neighbours: three 17-point sub-grids over
+    +-h about the lowest point so far, with h = step, step/8 and step/64."""
+    d = np.diff(xs)
+    near = (d > 0) & (d < 1.5 * step)
+    mid = vals[1:-1]
+    centres = xs[1:-1][near[:-1] & near[1:] & (mid < vals[:-2]) & (mid < vals[2:]) & (mid < below)]
+    pts, out = [np.empty(0)], [np.empty(0)]
+    for h in (step, step / 8.0, step / 64.0) if centres.size else ():
+        sub = centres[:, None] + h * np.linspace(-1.0, 1.0, 17)
+        v = mixture_hessian_lower(mixture, sub.reshape(-1, 1))[0][:, 0, 0].reshape(sub.shape)
+        pts.append(sub.ravel())
+        out.append(v.ravel())
+        centres = sub[np.arange(centres.size), np.argmin(v, axis=1)]
+    return np.concatenate(pts), np.concatenate(out)
 
 
 def analyze_mixture_1d(
@@ -148,8 +174,9 @@ def analyze_mixture_1d(
     alpha = K/2 where K is the common convexity modulus of the component
     potentials; radius is the smallest radius outside which the refined
     curvature lower bound stays >= K/2 on the search points (a grid, and a
-    window about each crossover of two components); beta covers the worst
-    dip inside.  The default radius_cap is the search points' extent.
+    window about each crossover of two components) and on sub-grids about
+    each of their strict local minima below 3K/4; beta covers the worst dip
+    inside.  The default radius_cap is the search points' extent.
     """
     if mixture.dim != 1:
         raise ValidationError("mixture must be 1D")
@@ -169,6 +196,9 @@ def analyze_mixture_1d(
     vals, tail_vals = refined[:xs.size, 0, 0], refined[xs.size:, 0, 0]
 
     target = 0.5 * K
+    # refine the dips that reach below K/2 plus a margin of K/4
+    rx, rv = _refine_minima(mixture, xs, vals, step, 0.75 * K)
+    xs, vals = np.concatenate([xs, rx]), np.concatenate([vals, rv])
     bad = np.abs(xs)[vals < target]
     if bad.size == 0:
         radius = 0.0

@@ -25,7 +25,6 @@ __all__ = [
     "ThetaEnvelope",
     "LipschitzEstimate",
     "PushforwardReport",
-    "velocity_field",
     "build_flow_map",
     "empirical_lipschitz",
     "pushforward_validate",
@@ -87,12 +86,6 @@ class PushforwardReport:
     ks_stat: float
     mean_error: float
     var_error: float
-
-
-def velocity_field(measure, t: float, x) -> np.ndarray:
-    """v(t, x) = -(score of the OU marginal at x + x)."""
-    _, gradient, _ = ou_log_derivatives(measure, t, x)
-    return -gradient
 
 
 def build_flow_map(

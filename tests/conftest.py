@@ -1,4 +1,7 @@
-"""Shared randomized-instance generators for the test suite."""
+"""Shared randomized-instance generators and numeric references for the test
+suite."""
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,33 @@ def random_atomic(rng, max_atoms=5):
     w = rng.uniform(0.2, 1.0, size=k)
     w = w / w.sum()
     return AtomicMeasure(dim=1, weights=w, locations=locs[:, None])
+
+
+def integrated_ou_upper_numeric(alpha, lip, tau_max=1e8):
+    """Numeric reference for ``integrated_ou_upper``: the time integral of the
+    ``cor7_envelope`` upper curve, as (value, tail_term).
+
+    Integrates the substituted integrand over tau = e^{2t}-1 in (0, tau_max]
+    (with tau = u^2 to remove the endpoint singularity) and adds the analytic
+    O(1/tau) tail.
+    """
+    from scipy.integrate import quad
+
+    def integrand_u(u):
+        tau = u * u
+        den = alpha * tau + 1.0
+        val = (
+            (1.0 - alpha) / den
+            + lip * lip * (tau + 1.0) / (den * den)
+            + 2.0 * lip * (tau + 1.0) / (u * den**1.5)
+        ) / (2.0 * (tau + 1.0))
+        return val * 2.0 * u
+
+    head, _ = quad(integrand_u, 0.0, math.sqrt(tau_max), limit=400)
+    tail = ((1.0 - alpha) / alpha + lip * lip / alpha**2 + 2.0 * lip / alpha**1.5) / (
+        2.0 * tau_max
+    )
+    return head + tail, tail
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from logheat import (
     cor7_envelope,
     empirical_lipschitz,
     integrated_ou_upper,
-    integrated_ou_upper_numeric,
     lemma1_check,
     lemma4_decompose,
     log_concavity_time,
@@ -40,7 +39,12 @@ from logheat import (
     variance_certificate,
 )
 
-from conftest import random_atomic, random_mixture, random_perturbed
+from conftest import (
+    integrated_ou_upper_numeric,
+    random_atomic,
+    random_mixture,
+    random_perturbed,
+)
 
 
 def _report(n, name):

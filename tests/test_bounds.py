@@ -12,7 +12,6 @@ from logheat import (
     cor7_envelope,
     example3_limit_check,
     integrated_ou_upper,
-    integrated_ou_upper_numeric,
     log_concavity_time,
     log_hessian,
     log_hessian_heat,
@@ -23,7 +22,7 @@ from logheat import (
     transport_constants,
 )
 
-from conftest import random_mixture, random_perturbed
+from conftest import integrated_ou_upper_numeric, random_mixture, random_perturbed
 
 
 class TestThm2Envelope:

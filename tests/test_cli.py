@@ -269,8 +269,8 @@ class TestDeterminism:
 
 class TestImport:
     def test_scipy_optimize_and_integrate_load_lazily(self):
-        # both cost a few tenths of a second of every CLI call; only
-        # integrated_ou_upper_numeric needs scipy.integrate, nothing scipy.optimize
+        # both cost a few tenths of a second of every CLI call; nothing in
+        # the library needs scipy.integrate or scipy.optimize
         import logheat
 
         src = os.path.dirname(os.path.dirname(logheat.__file__))

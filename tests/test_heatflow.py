@@ -1,5 +1,6 @@
 """Tilted moments, the covariance representation, OU derivatives, W2."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -230,6 +231,56 @@ class TestCentredAggregation:
         z, t = 1e4 + 0.3, 1e-2
         got = log_hessian_heat(m, [z], t)[0, 0]
         assert got == pytest.approx(_mixture_log_hessian_mp(comps, z, t), rel=1e-10)
+
+
+def _counterexample_mean_mp(n, z, t):
+    """Tilted mean of the psi = 0 counterexample truncated at n, at 60 digits."""
+    with mpmath.workdps(60):
+        num = den = mpmath.mpf(0)
+        for i in range(n + 1):
+            x = mpmath.mpf(i * (i + 1)) / 2
+            w = mpmath.exp((z * x - x * x / 2) / mpmath.mpf(t)) / (i + 1) ** 2
+            num, den = num + w * x, den + w
+        return num / den
+
+
+class TestAtomTiltDigits:
+    """A tilted mean near the heaviest atom but far from the midpoint of the
+    atoms' span keeps its digits: the moments are pooled about that atom."""
+
+    @pytest.mark.parametrize("n,z,t,rel", [
+        (8, -32.0, 18.0, 1e-13), (8, -40.0, 0.5, 5e-13),
+        # the rest of the error at truncation 60 sits in the exponents
+        (60, -32.0, 18.0, 1e-11), (60, -40.0, 0.5, 5e-10),
+    ])
+    def test_counterexample_mean_matches_mpmath(self, n, z, t, rel):
+        m = build_counterexample(lambda x: 0.0, truncation=n)
+        want = _counterexample_mean_mp(n, z, t)
+        got = tilted_moments(m, [z], t).mean[0]
+        assert abs(got - want) <= rel * abs(want)
+
+
+class TestPerturbedOuRange:
+    """Past t ~ 354.9 the dilation of the kink by e^{-t} squares its panel
+    slopes past the float range; the OU entry points say so."""
+
+    KINK = make_perturbed(1, [], [0], [0], [-1, 1])
+
+    @pytest.mark.parametrize("t", [356.0, 360.0, 371.0, 373.0])
+    def test_out_of_range_time_raises(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="dilation by"):
+                marginal_stats_1d(self.KINK, t, np.array([0.0, 1.0]))
+            with pytest.raises(ValidationError, match="dilation by"):
+                ou_log_derivatives(self.KINK, t, np.array([[0.0], [1.0]]))
+
+    def test_in_range_time_unchanged(self):
+        # the values before the range check: the standard Gaussian's
+        log_mass, score_, hess = marginal_stats_1d(self.KINK, 350.0, np.array([0.0, 1.0]))
+        assert log_mass.tolist() == [-0.9189385332047095, -1.4189385332047095]
+        assert score_.tolist() == [0.0, -1.0]
+        assert hess.tolist() == [-1.0, -1.0]
 
 
 @st.composite

@@ -59,8 +59,10 @@ def _posterior_nkd(weights, means, variances, xs):
     diff = xs[:, None, :] - means[None, :, :]
     logits = (np.log(weights) - 0.5 * dim * (_LOG_2PI + np.log(variances))
               - 0.5 * np.sum(diff * diff, axis=2) / variances)
-    log_dens = _logsumexp(logits, axis=1)
-    return np.exp(logits - log_dens[:, None]), -diff / variances[:, None], log_dens
+    # responsibilities divided by their own sum, as the library does
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    resp = e / np.sum(e, axis=1, keepdims=True)
+    return resp, -diff / variances[:, None], _logsumexp(logits, axis=1)
 
 
 def _tilt_mixture_nkd(mu, zs, t):

@@ -23,9 +23,12 @@ from logheat import (
     mean_variance_1d,
     measure_from_json,
     mixture_hessian_lower,
+    build_counterexample,
     sample,
     score,
     standard_gaussian,
+    tilted_log_mass,
+    tilted_moments,
 )
 from logheat.heatflow import _tilt
 from logheat.measures import PiecewiseLinear, _log_gauss_mass, quantile_1d
@@ -93,6 +96,29 @@ class TestConstruction:
             make_gaussian_mixture(comps)
 
 
+def _piecewise_linear_loops(knots, slopes):
+    """The knot values and segment coefficients of ``PiecewiseLinear`` as
+    sequential loops, kept as a reference for the vectorised forms."""
+    n = knots.size
+    kv = np.zeros(n)
+    if n:
+        j0 = int(np.searchsorted(knots, 0.0, side="right"))
+        kv_rel = np.zeros(n)
+        for i in range(1, n):
+            kv_rel[i] = kv_rel[i - 1] + slopes[i] * (knots[i] - knots[i - 1])
+        if j0 == 0:
+            f0 = kv_rel[0] + slopes[0] * (0.0 - knots[0])
+        else:
+            f0 = kv_rel[j0 - 1] + slopes[j0] * (0.0 - knots[j0 - 1])
+        kv = kv_rel - f0
+    a = np.zeros(n + 1)
+    if n:
+        a[0] = kv[0] - slopes[0] * knots[0]
+        for j in range(1, n + 1):
+            a[j] = kv[j - 1] - slopes[j] * knots[j - 1]
+    return kv, a
+
+
 class TestPiecewiseLinear:
     def test_anchored_at_zero(self):
         f = PiecewiseLinear(np.array([-1.0, 1.0]), np.array([-1.0, 0.5, 2.0]))
@@ -103,6 +129,21 @@ class TestPiecewiseLinear:
         xs = np.array([-2.0, -0.5, 0.5, 2.0])
         assert np.allclose(f(xs), [-2.0, -0.5, -0.5, -2.0])
         assert np.allclose(f.slope_at(np.array([-1.0, 1.0])), [1.0, -1.0])
+
+    def test_matches_loops_exactly(self, rng):
+        for _ in range(2000):
+            n = int(rng.integers(0, 7))
+            knots = np.unique(rng.uniform(-5.0, 5.0, n) * 10.0 ** rng.uniform(-3.0, 3.0))
+            if rng.uniform() < 0.2 and knots.size:
+                knots[int(rng.integers(knots.size))] = 0.0  # a knot at the anchor
+                knots = np.unique(knots)
+            slopes = rng.normal(0.0, 3.0, knots.size + 1)
+            f = PiecewiseLinear(knots, slopes)
+            kv, a = _piecewise_linear_loops(knots, slopes)
+            np.testing.assert_array_equal(f.knot_values, kv)
+            got_a, got_b = f.segment_coeffs()
+            np.testing.assert_array_equal(got_a, a)
+            np.testing.assert_array_equal(got_b, slopes)
 
 
 class TestLogDerivatives:
@@ -198,22 +239,20 @@ class TestConvolution:
 
     def test_perturbed_density_vs_trapezoid(self):
         pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[1.0, -1.0])
-        c = convolve_gaussian(pm, 1.0)
         xs = np.linspace(-25, 25, 400001)
         base = np.exp(-pm.potential(xs) - pm.log_normalizer)
         kern = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
         # value of the convolution at 0 by direct integration
         oracle = np.trapezoid(base * np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi), xs)
-        assert c.pdf([0.0]) == pytest.approx(oracle, abs=1e-8)
+        assert math.exp(tilted_log_mass(pm, [0.0], 1.0)) == pytest.approx(oracle, abs=1e-8)
 
     def test_semigroup_property(self, rng):
         pm = random_perturbed(rng)
-        c2 = convolve_gaussian(pm, 1.0)
         zs = np.linspace(-3, 3, 13)
-        d2 = c2.pdf(zs[:, None])
+        d2 = np.exp(tilted_log_mass(pm, zs[:, None], 1.0))
         # evaluate (mu*g_{0.4})*g_{0.6} by quadrature over the oracle density
         xs = np.linspace(-30, 30, 60001)
-        inner_vals = convolve_gaussian(pm, 0.4).pdf(xs[:, None])
+        inner_vals = np.exp(tilted_log_mass(pm, xs[:, None], 0.4))
         kern = lambda z: np.exp(-0.5 * (z - xs) ** 2 / 0.6) / math.sqrt(2 * math.pi * 0.6)
         d1 = np.array([np.trapezoid(inner_vals * kern(z), xs) for z in zs])
         assert np.max(np.abs(d1 - d2)) < 1e-9
@@ -268,6 +307,16 @@ class TestDilate:
         g = make_gaussian_mixture([(1.0, [1e300], 1e-300)])
         with pytest.raises(ValidationError, match="dilation"):
             dilate(g, 1e10)
+
+    @pytest.mark.parametrize("c", [1e-160, 1e-320, 1e200])
+    def test_perturbed_out_of_range_rejected(self, c):
+        # c = 1e-160 overflows the squared slopes, 1e-320 alpha/c^2, and
+        # 1e200 underflows alpha/c^2 to 0
+        pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="dilation by"):
+                dilate(pm, c)
 
     def test_perturbed_density_transforms(self):
         pm = make_perturbed(1.0, h_knots=[0.5], h_slopes=[1.0, -1.0])
@@ -453,3 +502,55 @@ class TestJson:
     def test_unknown_type(self):
         with pytest.raises(ValidationError):
             measure_from_json({"type": "nope"})
+
+
+class _Bare:
+    """An object with a dimension and no kernels."""
+
+    dim = 1
+
+
+_FAMILIES = {
+    "mixture": lambda: make_gaussian_mixture([(0.5, [-1.0], 1.0), (0.5, [1.0], 0.5)]),
+    "atomic": lambda: AtomicMeasure(dim=1, weights=np.array([0.5, 0.5]),
+                                    locations=np.array([[0.0], [2.0]])),
+    "perturbed": lambda: make_perturbed(1.0, h_knots=[0.0], h_slopes=[1.0, -1.0]),
+    "counterexample": lambda: build_counterexample(lambda x: 0.0, truncation=8),
+    "bare": _Bare,
+}
+
+_CALLS = {
+    "log_density": lambda m: log_density(m, [0.5]),
+    "score": lambda m: score(m, [0.5]),
+    "log_hessian": lambda m: log_hessian(m, [0.5]),
+    "convolve_gaussian": lambda m: convolve_gaussian(m, 1.0),
+    "dilate": lambda m: dilate(m, 0.5),
+    "mean_variance_1d": mean_variance_1d,
+    "cdf_1d": lambda m: cdf_1d(m, 0.5),
+    "quantile_1d": lambda m: quantile_1d(m, 0.5),
+    "sample": lambda m: sample(m, 3),
+    "tilted_moments": lambda m: tilted_moments(m, [0.5], 1.0),
+}
+
+_MISSING = {
+    "mixture": set(),
+    "atomic": {"log_density", "score", "log_hessian"},
+    "perturbed": {"convolve_gaussian"},
+    "counterexample": {"log_density", "score", "log_hessian", "convolve_gaussian", "dilate"},
+    "bare": set(_CALLS),
+}
+
+
+class TestKernelLookup:
+    """Every public per-family function raises CapabilityError, from the one
+    kernel lookup, exactly for the families without its kernel."""
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @pytest.mark.parametrize("name", sorted(_CALLS))
+    def test_capability(self, family, name):
+        measure, call = _FAMILIES[family](), _CALLS[name]
+        if name in _MISSING[family]:
+            with pytest.raises(CapabilityError, match="has no .* kernel"):
+                call(measure)
+        else:
+            call(measure)

@@ -1,4 +1,4 @@
-"""Root finding, ODE integration, finite differences."""
+"""Root finding and ODE integration."""
 import math
 
 import numpy as np
@@ -8,7 +8,6 @@ from logheat import (
     BracketError,
     NumericalError,
     find_root_bisect,
-    finite_diff_second,
 )
 from logheat.numerics import rk4
 
@@ -55,16 +54,3 @@ class TestOde:
     def test_blowup_reports_time(self):
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="t="):
             rk4(lambda t, y: y * y * 100.0, np.array([1.0]), 0.0, 2.0, 50)
-
-
-class TestFiniteDiff:
-    def test_parabola(self):
-        assert finite_diff_second(lambda x: x * x, 0.7, 1e-3) == pytest.approx(2.0, abs=1e-6)
-
-    def test_constant(self):
-        assert finite_diff_second(lambda x: 5.0, 0.0, 1e-3) == pytest.approx(0.0, abs=1e-9)
-
-    def test_gaussian_neg_log(self):
-        f = lambda x: 0.5 * x * x + 0.5 * math.log(2 * math.pi)
-        assert finite_diff_second(f, 0.0, 1e-3) == pytest.approx(1.0, abs=1e-5)
-

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logheat import (
     Infeasible,
     MixtureAnalysis,
+    NumericalError,
     PreconditionError,
     analyze_mixture_1d,
     lemma4_decompose,
@@ -32,6 +33,21 @@ def _analyze_pointwise(mixture, radius_cap=None):
         radius_cap = half
     refined = lambda x: float(mixture_hessian_lower(mixture, [x])[0][0, 0])
     vals = np.array([refined(x) for x in xs])
+    # three 17-point sub-grids about each strict local minimum below 3K/4
+    # among neighbouring search points, each about the lowest point of the last
+    sub_x, sub_v = [], []
+    for i in range(1, xs.size - 1):
+        near = all(0 < xs[j + 1] - xs[j] < 1.5 * step for j in (i - 1, i))
+        if not (near and vals[i] < min(vals[i - 1], vals[i + 1], 0.75 * K)):
+            continue
+        centre, h = xs[i], step
+        for _ in range(3):
+            pts = centre + h * np.linspace(-1.0, 1.0, 17)
+            v = [refined(x) for x in pts]
+            sub_x += list(pts)
+            sub_v += v
+            centre, h = pts[int(np.argmin(v))], h / 8.0
+    xs, vals = np.concatenate([xs, sub_x]), np.concatenate([vals, sub_v])
     bad = np.abs(xs)[vals < 0.5 * K]
     radius = float(np.max(bad)) + step if bad.size else 0.0
     if radius > radius_cap:
@@ -44,6 +60,37 @@ def _analyze_pointwise(mixture, radius_cap=None):
     beta = max(0.0, -float(np.min(vals)))
     return MixtureAnalysis(alpha=0.5 * K, lip=2.0 * (0.5 * K + beta) * radius,
                            radius=radius, beta=beta)
+
+
+def _lemma4_check_loop(U, alpha, beta, radius, grid_halfwidth=10.0, grid_step=0.02):
+    """The hypothesis check of ``lemma4_decompose`` as the per-point loop it
+    replaced, kept as a reference: the same grid, step, tolerance and messages."""
+    half = radius + grid_halfwidth
+    grid = np.linspace(-half, half, int(np.ceil(2.0 * half / grid_step)) + 1)
+    h, tol = 1e-4, 1e-6
+    for x in grid:
+        vals = np.array([U(float(x) - h), U(float(x)), U(float(x) + h)], dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError(f"non-finite value near x={float(x)}")
+        u2 = float((vals[0] - 2.0 * vals[1] + vals[2]) / (h * h))
+        if abs(x) >= radius:
+            if u2 < alpha - tol:
+                raise PreconditionError(
+                    f"U''({x:.6g}) = {u2:.6g} < alpha = {alpha} outside radius {radius}")
+        elif u2 < -beta - tol:
+            raise PreconditionError(
+                f"U''({x:.6g}) = {u2:.6g} < -beta = {-beta} inside radius {radius}")
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except (NumericalError, PreconditionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_DOUBLE_WELL = lambda x: x**4 - 2.0 * x * x
 
 
 class TestLemma4Decompose:
@@ -79,6 +126,19 @@ class TestLemma4Decompose:
         # U'' = -2 everywhere violates alpha = 1 outside any radius
         with pytest.raises(PreconditionError, match="U''"):
             lemma4_decompose(lambda x: -x * x, alpha=1.0, beta=5.0, radius=0.5)
+
+    @pytest.mark.parametrize("U,alpha,beta,radius", [
+        (lambda x: -x * x, 1.0, 5.0, 0.5),        # fails at the first grid point
+        (_DOUBLE_WELL, 1.0, 4.0, 0.65),            # holds
+        (_DOUBLE_WELL, 1.0, 1.0, 0.65),            # first failure inside the radius
+        (_DOUBLE_WELL, 1.0, 4.0, 0.3),             # first failure outside, at x = -0.64
+        (lambda x: math.nan if 0.9 < x < 0.91 else x * x, 1.0, 0.0, 0.0),  # NaN at 0.9
+        (lambda x: math.nan if 0.9 < x < 0.91 else x * x, 3.0, 0.0, 0.0),  # fails before it
+        (lambda x: math.inf if x > 2.0 else x * x, 1.0, 0.0, 1.0),        # inf past 2
+    ])
+    def test_same_first_failure(self, U, alpha, beta, radius):
+        want = _outcome(_lemma4_check_loop, U, alpha, beta, radius)
+        assert _outcome(lemma4_decompose, U, alpha, beta, radius) == want
 
 
 class TestAnalyzeMixture:
@@ -143,7 +203,9 @@ class TestAnalyzeMixture:
 
 
 def _crossover_roots(mixture):
-    """Where two components' weighted log-densities cross, by np.roots."""
+    """Where two components' weighted log-densities cross, by np.roots, up to
+    |x| < 1e150: farther roots belong to pairs that barely lower the curvature
+    (see ``structure._search_points``)."""
     m, v, w = mixture.means[:, 0], mixture.variances, mixture.weights
     # log(w N(x; m, v)) = c - x^2/(2v) + m x/v
     c = np.log(w) - 0.5 * np.log(2 * math.pi * v) - m**2 / (2 * v)
@@ -151,7 +213,13 @@ def _crossover_roots(mixture):
     for i in range(w.size):
         for j in range(i):
             coef = [1 / (2 * v[j]) - 1 / (2 * v[i]), m[i] / v[i] - m[j] / v[j], c[i] - c[j]]
-            roots += [r.real for r in np.roots(coef) if abs(r.imag) < 1e-12 * max(1, abs(r))]
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    found = np.roots(coef)
+            except np.linalg.LinAlgError:  # a coefficient ratio overflowed
+                continue
+            roots += [r.real for r in found
+                      if abs(r.imag) < 1e-12 * max(1, abs(r)) and abs(r.real) < 1e150]
     return np.array(roots)
 
 
@@ -194,6 +262,12 @@ class TestCrossovers:
         assert _certificate_slack(g, res) >= -1e-9
 
     @settings(max_examples=150, deadline=None)
+    # a dip between grid points; responsibilities far out; crossovers at 1e272
+    # and past the float range
+    @example([(1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 3.0, 1.0)])
+    @example([(1.0, 2.1716400331427735e-54, 1.0), (0.5, 0.0, 1.0)])
+    @example([(1.0, 0.0, 1.0), (0.5, 5.208979661897864e-273, 1.0)])
+    @example([(1.0, 0.0, 1.0), (0.5, 5e-324, 1.0)])
     @given(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-4.0, 4.0), st.floats(0.2, 2.0)),
                     min_size=2, max_size=3))
     def test_certificate_holds_through_crossovers(self, comps):
