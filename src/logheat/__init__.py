@@ -59,7 +59,7 @@ from .measures import (
     score,
     standard_gaussian,
 )
-from .numerics import find_root_bisect
+from .numerics import find_root
 from .structure import (
     Decomposition,
     Infeasible,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import SearchError, ValidationError
 from .heatflow import log_hessian_heat, tilted_moments
-from .measures import AtomicMeasure, CounterexampleMeasure, _logsumexp
-from .numerics import find_root_bisect
+from .measures import AtomicMeasure, CounterexampleMeasure
+from .numerics import find_root
 
 __all__ = [
     "Certificate",
@@ -42,6 +42,8 @@ class Certificate:
     curvature: float
     truncation: int
     tail_bound: float
+    split_evals: int  # split-kernel calls over every gap index tried
+    escalations: int  # gap indices tried past the first, j - ceil(sqrt(2) M)
 
     def to_json(self) -> dict:
         return {
@@ -71,9 +73,19 @@ def build_counterexample(
     return CounterexampleMeasure(psi=psi, truncation=truncation)
 
 
-def _tilted_logs(measure: CounterexampleMeasure, t: float, z: float) -> np.ndarray:
+def _split(measure: CounterexampleMeasure, t: float, j: int, z: float) -> tuple[float, float]:
+    """(g, dg/dz) at tilt z, g = log(mass of atoms < j) - log(mass of atoms >= j)
+    under the tilt N(z, t); dg/dz = (mean below - mean above)/t <= -j/t, as the gap
+    x_j - x_{j-1} = j parts the groups.  The tilted logs log w_i + (z x_i - x_i^2/2)/t
+    are taken less z^2/(2t), which cancels in g, so that they stay small near the
+    split; each group is pooled about its own maximum, since one shared maximum can
+    underflow the other group's sum."""
     xs = measure.locations
-    return measure.log_weights + z * xs / t - xs * xs / (2.0 * t)
+    l = measure.log_weights - (xs - z) ** 2 / (2.0 * t)
+    lo, hi = l[:j].max(), l[j:].max()
+    e_lo, e_hi = np.exp(l[:j] - lo), np.exp(l[j:] - hi)
+    s_lo, s_hi = e_lo.sum(), e_hi.sum()
+    return lo - hi + math.log(s_lo / s_hi), ((e_lo @ xs[:j]) / s_lo - (e_hi @ xs[j:]) / s_hi) / t
 
 
 def split_function_F(measure: CounterexampleMeasure, t: float, j: int, z: float) -> float:
@@ -84,43 +96,58 @@ def split_function_F(measure: CounterexampleMeasure, t: float, j: int, z: float)
         raise ValidationError("t must be positive")
     if not 1 <= j <= measure.truncation:
         raise ValidationError("need 1 <= j <= truncation")
-    l = _tilted_logs(measure, t, z)
-    lo = _logsumexp(l[:j])
-    hi = _logsumexp(l[j:])
     # (e^lo - e^hi) / (e^lo + e^hi) = tanh((lo - hi)/2)
-    return float(np.tanh(0.5 * (lo - hi)))
+    return math.tanh(0.5 * _split(measure, t, j, z)[0])
 
 
-def _split_tilt(measure: CounterexampleMeasure, t: float, j: int) -> float:
-    xs = measure.locations
-    x_j = float(xs[j])
+def _split_tilt(measure: CounterexampleMeasure, t: float, j: int) -> tuple[float, float, int]:
+    """The split tilt z* of gap j by safeguarded Newton on g of ``_split``, g(z*),
+    and the number of split-kernel calls made."""
+    values: dict[float, tuple[float, float]] = {}
+
+    def f(z: float) -> tuple[float, float]:
+        if z not in values:  # find_root re-reads the bracket ends checked here
+            values[z] = _split(measure, t, j, z)
+        return values[z]
+
+    x_j = float(measure.locations[j])
     z_cap = x_j + t * (float(measure.psi_values[j]) + 4.0 * math.log(j + 1.0)) / j
-    f = lambda z: split_function_F(measure, t, j, z)
-    if f(0.0) < 0.0:
-        raise SearchError("split function already negative at z = 0")
+    if f(0.0)[0] < 0.0:
+        raise SearchError(f"split function already negative at z = 0: log-mass split "
+                          f"{f(0.0)[0]:.3e} at j = {j}, t = {t}")
     grow = 0
-    while f(z_cap) >= 0.0:
+    while f(z_cap)[0] >= 0.0:
         grow += 1
         if grow > 8:
-            raise SearchError(f"no sign change of the split function below z = {z_cap}")
+            raise SearchError(f"no sign change of the split function below z = {z_cap}: "
+                              f"log-mass split {f(z_cap)[0]:.3e} at j = {j}, t = {t}")
         z_cap = x_j + 2.0**grow * (z_cap - x_j)
-    return find_root_bisect(f, 0.0, z_cap, tol=1e-12)
+    z_star = find_root(f, 0.0, z_cap, tol=1e-12)
+    return z_star, f(z_star)[0], len(values)
 
 
-def _tail_adequate(measure: CounterexampleMeasure, t: float, z: float) -> None:
-    """The dropped atoms' tilted mass must be < 1e-12 of the retained mass."""
+def _tail_adequate(measure: CounterexampleMeasure, t: float, j: int, z: float,
+                   mass_log: float) -> None:
+    """The atoms the truncation n drops must carry < 1e-12 of the retained tilted
+    mass e^{mass_log}, normalized as ``tilted_moments``.  The bound assumes, as
+    ``tail_bound`` does, that psi is nondecreasing beyond the truncation: then each
+    dropped term w_i N(z; x_i, t) is at most r = exp((n + 2)(z - (x_{n+1} + x_{n+2})/2)/t)
+    times the one before, so for z < (x_{n+1} + x_{n+2})/2 = (n + 2)^2/2 they add up
+    to at most the first over 1 - r."""
     n = measure.truncation
-    i = np.arange(n + 1, n + 202, dtype=float)
-    xs = i * (i + 1.0) / 2.0
-    psi_tail = np.array([float(measure.psi(x)) for x in xs])
-    l_tail = -2.0 * np.log(i + 1.0) - psi_tail + z * xs / t - xs * xs / (2.0 * t)
-    retained = _logsumexp(_tilted_logs(measure, t, z))
-    dropped = _logsumexp(l_tail)
-    if dropped - retained > math.log(1e-12):
-        raise SearchError(
-            f"truncation {n} too small: dropped tilted mass ratio "
-            f"{math.exp(dropped - retained):.3e} at z = {z}"
-        )
+    x1 = (n + 1) * (n + 2) / 2.0
+    log_r = (n + 2) * (z - 0.5 * (n + 2) ** 2) / t
+    if not log_r < 0.0:
+        raise SearchError(f"truncation {n} too small: the tail bound needs z < (n + 2)^2/2 "
+                          f"= {(n + 2) ** 2 / 2.0}, got z = {z} at j = {j}, t = {t}")
+    log_Z = -float(measure.psi_values[0]) - float(measure.log_weights[0])  # retained
+    log_ratio = (-2.0 * math.log(n + 2.0) - float(measure.psi(x1)) - log_Z - mass_log
+                 - (z - x1) ** 2 / (2.0 * t) - 0.5 * math.log(2.0 * math.pi * t)
+                 - math.log(-math.expm1(log_r)))
+    if log_ratio > math.log(1e-12):
+        ratio = math.exp(log_ratio) if log_ratio < 700.0 else math.inf
+        raise SearchError(f"truncation {n} too small: dropped tilted mass ratio {ratio:.3e} "
+                          f"> 1e-12 at j = {j}, z = {z}, t = {t}")
 
 
 def variance_certificate(
@@ -131,44 +158,36 @@ def variance_certificate(
     Starts at the gap index j = ceil(sqrt(2) * M) and escalates j until the
     variance target is met (the gap guarantees only a quarter-gap-squared
     variance floor; the realized variance at the split is checked directly).
+    The atoms the truncation drops are bounded in closed form, assuming psi
+    is nondecreasing beyond the truncation (see ``_tail_adequate``).
     """
     if not (t > 0 and M > 0):
         raise ValidationError("t and M must be positive")
-    j = max(1, math.ceil(math.sqrt(2.0) * M))
-    if j + 1 > measure.truncation:
-        raise ValidationError(
-            f"truncation {measure.truncation} too small for gap index {j}"
-        )
-    while True:
-        z_star = _split_tilt(measure, t, j)
-        _tail_adequate(measure, t, z_star)
-        l = _tilted_logs(measure, t, z_star)
-        below = float(np.exp(_logsumexp(l[:j]) - _logsumexp(l)))
-        if abs(below - 0.5) > 1e-9:
+    j0 = max(1, math.ceil(math.sqrt(2.0) * M))
+    if j0 + 1 > measure.truncation:
+        raise ValidationError(f"truncation {measure.truncation} too small for gap index {j0}")
+    split_evals = 0
+    for j in range(j0, measure.truncation):
+        z_star, g, evals = _split_tilt(measure, t, j)
+        split_evals += evals
+        # mass below j = 1 / (1 + e^{-g}), so its distance from 1/2 is |tanh(g/2)| / 2
+        off = 0.5 * abs(math.tanh(0.5 * g))
+        if off > 1e-9:
             raise SearchError(
-                f"half-mass split off by {abs(below - 0.5):.3e} at z = {z_star}"
-            )
+                f"half-mass split off by {off:.3e} at j = {j}, z = {z_star}, t = {t}")
         tm = tilted_moments(measure, [z_star], t)
+        _tail_adequate(measure, t, j, z_star, tm.mass_log)
         variance = float(tm.covariance[0, 0])
         if variance >= M * M * (1.0 - 1e-6):
             break
-        j += 1
-        if j + 1 > measure.truncation:
-            raise SearchError(
-                f"variance target M^2 = {M * M} not reached within truncation "
-                f"{measure.truncation}"
-            )
-    curvature = (1.0 - variance / t) / t
-    return Certificate(
-        t=t,
-        target_M=M,
-        j=j,
-        z_star=z_star,
-        variance=variance,
-        curvature=curvature,
-        truncation=measure.truncation,
-        tail_bound=measure.tail_bound,
-    )
+    else:
+        raise SearchError(f"variance target M^2 = {M * M} not reached within truncation "
+                          f"{measure.truncation}: variance {variance} at j = {j}, "
+                          f"z = {z_star}, t = {t}")
+    return Certificate(t=t, target_M=M, j=j, z_star=z_star, variance=variance,
+                       curvature=(1.0 - variance / t) / t, truncation=measure.truncation,
+                       tail_bound=measure.tail_bound, split_evals=split_evals,
+                       escalations=j - j0)
 
 
 def two_atom_analysis(x0: float, w0: float, w1: float, t: float) -> TwoAtomReport:

@@ -299,12 +299,18 @@ class GaussianMixture:
         return np.einsum("kn,kin->ni", r, g)
 
     def _log_hessian(self, zs):
-        _, r, g, _ = _mixture_posterior(self, zs)
+        _, r, _, _ = _mixture_posterior(self, zs)
         # -sum_k r_k / v_k nearly cancels the pooled scores where the log-Hessian
         # is near zero, so it is summed along contiguous (n, k) rows, in the
         # order of the (n, k, d) layout; -1/v @ r sums it in another order
         diag = np.ascontiguousarray(r.T) @ (-1.0 / self.variances)
-        return _pool(r, g, diag)[1].transpose(2, 0, 1)
+        # scores pooled about each row's heaviest component p, with g_k - g_p =
+        # x (1/v_p - 1/v_k) + m_k/v_k - m_p/v_p: exact for v_k = v_p, where far
+        # out the scores themselves are equal huge numbers
+        p, iv = np.argmax(r, axis=0), 1.0 / self.variances
+        mv = self.means * iv[:, None]
+        dg = zs.T * (iv[p] - iv[:, None])[:, None, :] + (mv[:, :, None] - mv[p].T)
+        return _pool(r, dg, diag)[1].transpose(2, 0, 1)
 
     def _convolve(self, t):
         return GaussianMixture(dim=self.dim, weights=self.weights, means=self.means,

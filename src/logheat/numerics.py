@@ -1,6 +1,6 @@
 """Deterministic numerical kernels.
 
-Bracketed bisection and classical RK4 integration (forward or backward in
+Bracketed safeguarded Newton and classical RK4 integration (forward or backward in
 time).  Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
@@ -12,36 +12,43 @@ import numpy as np
 from .errors import BracketError, NumericalError, ValidationError
 
 __all__ = [
-    "find_root_bisect",
+    "find_root",
     "rk4",
 ]
 
 
-def find_root_bisect(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
+def find_root(
+    f: Callable[[float], tuple[float, float]], lo: float, hi: float, tol: float = 1e-12
 ) -> float:
-    """Bisection on a sign-changing bracket ``[lo, hi]``."""
+    """Root of f, which returns (value, slope), on a sign-changing bracket
+    ``[lo, hi]`` by safeguarded Newton ("rtsafe", Press et al., Numerical Recipes,
+    section 9.4): Newton starts from the end with the smaller |value|, a step that
+    would leave the bracket or is over half the one before is a bisection, each
+    evaluation shrinks the bracket, and it stops once the step or bracket is <= tol."""
     if not tol > 0:
         raise ValidationError("tol must be positive")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
+    (flo, slo), (fhi, shi) = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
     if np.sign(flo) == np.sign(fhi):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+    x, fx, dfx = (lo, flo, slo) if abs(flo) < abs(fhi) else (hi, fhi, shi)
+    step = hi - lo
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
+        x_new = x - fx / dfx if dfx != 0.0 else np.nan
+        if not (lo <= x_new <= hi and abs(x_new - x) <= 0.5 * step):
+            x_new = 0.5 * (lo + hi)
+            if x_new == lo or x_new == hi:
+                break
+        x, step = x_new, abs(x_new - x)
+        if step <= tol:
+            return x
+        fx, dfx = f(x)
+        if np.sign(fx) == np.sign(flo):
+            lo, flo = x, fx
         else:
-            hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
+            hi = x
+    return x
 
 
 def rk4(f, y: np.ndarray, s0: float, s1: float, n: int) -> np.ndarray:

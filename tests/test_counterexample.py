@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logheat import (
     AtomicMeasure,
@@ -16,6 +18,8 @@ from logheat import (
     two_atom_analysis,
     variance_certificate,
 )
+from logheat.counterexample import _tail_adequate
+from logheat.measures import _PSI_FUNCTIONS as _PSI
 
 
 def psi_zero(x):
@@ -134,6 +138,133 @@ class TestVarianceCertificate:
         m = build_counterexample(psi_zero, truncation=10)
         with pytest.raises((ValidationError, SearchError)):
             variance_certificate(m, 1.0, 50.0)
+
+    def test_unreached_target_names_the_last_split(self):
+        m = build_counterexample(psi_zero, truncation=10)
+        with pytest.raises(SearchError, match=r"^variance target M\^2 = 36\.0 not reached within "
+                           r"truncation 10: variance 2\d\.\d+ at j = 9, z = 4\d\.\d+, t = 1\.0$"):
+            variance_certificate(m, 1.0, 6.0)
+
+
+def _bisect_reference(f, lo, hi, tol=1e-12):
+    """The bisection the certificate search used before safeguarded Newton."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if np.sign(fmid) == np.sign(flo):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def _reference_certificate(m, t, M):
+    """(j, z*, split-function calls per gap index tried) of the bisection
+    search on F = tanh((log-mass below j - log-mass from j on)/2)."""
+    xs = m.locations
+
+    def lse(v):
+        top = v.max()
+        return top + math.log(np.sum(np.exp(v - top)))
+
+    j = max(1, math.ceil(math.sqrt(2.0) * M))
+    calls = []
+    while True:
+        count = [0]
+
+        def F(z):
+            count[0] += 1
+            l = m.log_weights + z * xs / t - xs * xs / (2.0 * t)
+            return math.tanh(0.5 * (lse(l[:j]) - lse(l[j:])))
+
+        x_j = float(xs[j])
+        z_cap = x_j + t * (float(m.psi_values[j]) + 4.0 * math.log(j + 1.0)) / j
+        assert F(0.0) >= 0.0
+        grow = 0
+        while F(z_cap) >= 0.0:
+            grow += 1
+            assert grow <= 8
+            z_cap = x_j + 2.0**grow * (z_cap - x_j)
+        z = _bisect_reference(F, 0.0, z_cap)
+        calls.append(count[0])
+        if tilted_moments(m, [z], t).covariance[0, 0] >= M * M * (1.0 - 1e-6):
+            return j, z, calls
+        j += 1
+
+
+class TestNewtonSearch:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(_PSI)), st.floats(0.0, 0.1), st.floats(0.2, 5.0),
+           st.floats(1.0, 12.0), st.sampled_from([60, 120]))
+    def test_matches_bisection_in_fewer_calls(self, psi, c, t, M, truncation):
+        m = build_counterexample(_PSI[psi](c), truncation=truncation)
+        j_ref, z_ref, calls = _reference_certificate(m, t, M)
+        cert = variance_certificate(m, t, M)
+        assert cert.j == j_ref
+        assert cert.escalations == len(calls) - 1
+        assert abs(cert.z_star - z_ref) <= 2e-12 * max(1.0, abs(z_ref))
+        with mpmath.workdps(40):
+            z, tt = mpmath.mpf(cert.z_star), mpmath.mpf(t)
+            w = [mpmath.exp(mpmath.mpf(lw) - (mpmath.mpf(x) - z) ** 2 / (2 * tt))
+                 for lw, x in zip(m.log_weights, m.locations)]
+            assert abs(mpmath.fsum(w[: cert.j]) / mpmath.fsum(w) - 0.5) <= 1e-12
+        tm = tilted_moments(m, [cert.z_star], t)
+        assert cert.variance == pytest.approx(tm.covariance[0, 0], rel=1e-12)
+        assert cert.split_evals / len(calls) <= 0.5 * np.mean(calls)
+
+    def test_counts_stay_out_of_json(self):
+        cert = variance_certificate(build_counterexample(psi_linear, truncation=60), 1.0, 5.0)
+        assert cert.split_evals > 0 and cert.escalations >= 0
+        assert set(cert.to_json()) == {"t", "M", "j", "z_star", "variance", "curvature",
+                                       "truncation", "tail_bound"}
+
+    @pytest.mark.parametrize("c", [0.0, 30.0])
+    def test_constant_psi_tail_checked_on_one_normalization(self, c):
+        # psi = c gives the same normalized measure for every c, so the tail
+        # check must treat both alike: the dropped tilted mass is 2.6e-5 of the
+        # retained mass at z* = 25.5
+        m = build_counterexample(lambda x: c, truncation=8)
+        with pytest.raises(SearchError, match=r"^truncation 8 too small: dropped tilted mass "
+                           r"ratio 2\.6\d\de-05 > 1e-12 at j = 7, z = 25\.50\d*, t = 20\.0$"):
+            variance_certificate(m, 20.0, 4.5)
+
+    def test_tail_bound_needs_z_below_midpoint(self):
+        m = build_counterexample(psi_zero, truncation=8)
+        with pytest.raises(SearchError, match=r"^truncation 8 too small: the tail bound needs "
+                           r"z < \(n \+ 2\)\^2/2 = 50\.0, got z = 50\.0 at j = 7, t = 1\.0$"):
+            _tail_adequate(m, 1.0, 7, 50.0, 0.0)  # (x_9 + x_10)/2 = 50
+        _tail_adequate(m, 1.0, 7, 49.9, 100.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(_PSI)), st.floats(0.0, 0.1), st.floats(0.2, 5.0),
+           st.sampled_from([8, 30, 60]), st.floats(0.0, 1.0))
+    def test_tail_bound_above_dropped_mass(self, psi, c, t, n, u):
+        # a 60-digit sum D of 2000 dropped terms, for z up to x_{n+1}: the check
+        # refuses a retained mass just under 1e12 D, so its bound is >= D, and
+        # there the bound is within 1/(1 - r) ~ 1 of D, so it accepts 1e12 D e^{0.01}
+        m = build_counterexample(_PSI[psi](c), truncation=n)
+        z = u * (n + 1) * (n + 2) / 2.0
+        with mpmath.workdps(60):
+            raw = [-2 * mpmath.log(i + 1) - _PSI[psi](c)(mpmath.mpf(i * (i + 1)) / 2)
+                   for i in range(n + 2001)]
+            log_Z = mpmath.log(mpmath.fsum(mpmath.exp(v) for v in raw[: n + 1]))
+            zz, tt = mpmath.mpf(z), mpmath.mpf(t)
+            dropped = mpmath.fsum(
+                mpmath.exp(raw[i] - log_Z - (zz - mpmath.mpf(i * (i + 1)) / 2) ** 2 / (2 * tt))
+                for i in range(n + 1, n + 2001)) / mpmath.sqrt(2 * mpmath.pi * tt)
+            log_d = float(mpmath.log(dropped)) - math.log(1e-12)
+        with pytest.raises(SearchError, match="dropped tilted mass ratio"):
+            _tail_adequate(m, t, 1, z, log_d - 1e-12 * max(1.0, abs(log_d)))
+        _tail_adequate(m, t, 1, z, log_d + 0.01)
 
 
 class TestTwoAtom:

@@ -79,7 +79,13 @@ def _tilt_mixture_nkd(mu, zs, t):
 def _score_hessian_nkd(mu, xs):
     r, g, _ = _posterior_nkd(mu.weights, mu.means, mu.variances, xs)
     sc = np.einsum("nk,nki->ni", r, g)
-    c = g - sc[:, None, :]
+    # the score spread pooled about each point's heaviest component p, with
+    # g_k - g_p = x (1/v_p - 1/v_k) + m_k/v_k - m_p/v_p, as the library does
+    p = np.argmax(r, axis=1)
+    iv = 1.0 / mu.variances
+    mv = mu.means * iv[:, None]
+    dg = xs[:, None, :] * (iv[p][:, None] - iv[None, :])[:, :, None] + (mv[None] - mv[p][:, None])
+    c = dg - np.einsum("nk,nki->ni", r, dg)[:, None, :]
     hess = np.einsum("nk,nki,nkj->nij", r, c, c)
     hess -= (r @ (1.0 / mu.variances))[:, None, None] * np.eye(mu.dim)
     return sc, hess

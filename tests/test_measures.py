@@ -182,6 +182,26 @@ class TestLogDerivatives:
                 ) / h**2
                 assert log_hessian(m, [x])[0, 0] == pytest.approx(fd, abs=1e-5)
 
+    def test_far_out_equal_variances_keep_digits(self):
+        # component scores -(x - m_k)/v_k are equal huge numbers (~2e53) that
+        # differ in the 54th digit; the 50-digit log-Hessian is -1 + O(1e-108)
+        comps = [(0.3, 0.0, 1.0), (0.5, 1e-54, 1.0), (0.2, 2.5e-54, 1.0)]
+        g = make_gaussian_mixture([(w, [m], v) for w, m, v in comps])
+        xs = [-1.7e53, -3e10, 0.7, 4e12, 2.2e53]
+        got = log_hessian(g, np.array(xs)[:, None])[:, 0, 0]
+        with mpmath.workdps(50):
+            for x, h in zip(xs, got):
+                x = mpmath.mpf(x)
+                logits = [mpmath.log(w) - (x - m) ** 2 / (2 * v) for w, m, v in comps]
+                top = max(logits)
+                r = [mpmath.exp(q - top) for q in logits]
+                r = [q / mpmath.fsum(r) for q in r]
+                s = [-(x - m) / v for _, m, v in comps]
+                mean = mpmath.fsum(q * u for q, u in zip(r, s))
+                want = mpmath.fsum(q * (u - mean) ** 2 - q / v
+                                   for q, u, (_, _, v) in zip(r, s, comps))
+                assert abs(h - want) <= 1e-14 * abs(want), float(x)
+
     def test_weight_scaling_invariance(self, rng):
         comps = [(0.3, [0.0], 1.0), (0.7, [1.5], 0.5)]
         scaled = [(3.0 * w, m, v) for w, m, v in comps]

@@ -7,27 +7,45 @@ import pytest
 from logheat import (
     BracketError,
     NumericalError,
-    find_root_bisect,
+    ValidationError,
+    find_root,
 )
 from logheat.numerics import rk4
 
 
 class TestBisect:
+    """The bracketed root finder, safeguarded Newton on (value, slope)."""
+
     def test_sqrt2(self):
-        root = find_root_bisect(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-9)
+        root = find_root(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, tol=1e-9)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_odd(self):
-        assert find_root_bisect(lambda x: x, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert find_root(lambda x: (x, 1.0), -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_no_bracket(self):
         with pytest.raises(BracketError):
-            find_root_bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+            find_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0)
+        with pytest.raises(ValidationError, match="tol"):
+            find_root(lambda x: (x, 1.0), -1.0, 1.0, tol=0.0)
 
     def test_residual_shrinks_with_tol(self):
-        f = lambda x: math.cos(x) - x
-        res = [abs(f(find_root_bisect(f, 0.0, 1.0, tol=t))) for t in (1e-3, 1e-6, 1e-9)]
+        f = lambda x: (math.cos(x) - x, -math.sin(x) - 1.0)
+        res = [abs(f(find_root(f, 0.0, 1.0, tol=t))[0]) for t in (1e-3, 1e-6, 1e-9)]
         assert res[0] >= res[1] >= res[2]
+
+    def test_bisects_where_newton_leaves_the_bracket(self):
+        # plain Newton on atan diverges from |x| > 1.39; a flat slope gives no step
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.atan(x), 1.0 / (1.0 + x * x)
+
+        assert find_root(f, -10.0, 30.0) == pytest.approx(0.0, abs=1e-12)
+        assert all(-10.0 <= x <= 30.0 for x in calls) and len(calls) < 20
+        root = find_root(lambda x: (x - 0.3 if x > 0.3 else (x - 0.3) ** 3, 0.0), -1.0, 1.0)
+        assert root == pytest.approx(0.3, abs=1e-12)
 
 
 class TestOde:

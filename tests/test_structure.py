@@ -268,6 +268,8 @@ class TestCrossovers:
     @example([(1.0, 2.1716400331427735e-54, 1.0), (0.5, 0.0, 1.0)])
     @example([(1.0, 0.0, 1.0), (0.5, 5.208979661897864e-273, 1.0)])
     @example([(1.0, 0.0, 1.0), (0.5, 5e-324, 1.0)])
+    # equal variances, means 1e-54 apart: the scores are equal to 53 digits far out
+    @example([(0.3, 0.0, 1.0), (0.5, 1e-54, 1.0), (0.2, 2.5e-54, 1.0)])
     @given(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-4.0, 4.0), st.floats(0.2, 2.0)),
                     min_size=2, max_size=3))
     def test_certificate_holds_through_crossovers(self, comps):
