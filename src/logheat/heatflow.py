@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_BLOCK = 4096  # rows per family-kernel call: each call's temporaries stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,21 @@ class TiltedMoments:
 def _tilt(measure, zs: np.ndarray, t):
     """(log_mass, mean, cov) of mu_{z,t} at each row of zs, shape (n, dim),
     as checked by ``_points``; t is a float, or an (n,) array with one time
-    per row."""
+    per row.
+
+    More than ``_BLOCK`` rows go to the kernel in blocks of ``_BLOCK`` rows (t
+    sliced with them), small enough for the heap to reuse instead of faulting
+    in afresh.  A matrix product rounds the last (n mod 4) rows of a call apart
+    and ``_BLOCK`` is a multiple of 4, so the output is bit-identical to one call."""
     if not (np.all((t > 0) & (t < math.inf)) if isinstance(t, np.ndarray) else 0 < t < math.inf):
         raise ValidationError(f"t must be positive and finite, got {t}")
-    log_mass, mean, cov = ms._kernel(measure, "_tilt")(zs, t)
+    kernel = ms._kernel(measure, "_tilt")
+    if zs.shape[0] <= _BLOCK:
+        log_mass, mean, cov = kernel(zs, t)
+    else:
+        blocks = [kernel(zs[i:i + _BLOCK], t[i:i + _BLOCK] if np.ndim(t) else t)
+                  for i in range(0, zs.shape[0], _BLOCK)]
+        log_mass, mean, cov = (np.concatenate(parts) for parts in zip(*blocks))
     return log_mass, mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
 
 

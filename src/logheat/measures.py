@@ -86,12 +86,16 @@ def _panel_moments(C, B, A, edges):
     m = B/C and scale sigma = C^{-1/2}, truncated to [a, b] in standard units;
     only the 2(P-1) finite edges enter, as the outer panels are one-sided.
     C is a float, or an array with one precision per point (B's trailing axes).
+    Temporaries are updated in place, bit-identical to the expressions in the comments.
     """
     sigma = 1.0 / np.sqrt(C)
     m = B / C
     inner = edges[1:-1].reshape((-1,) + (1,) * (B.ndim - 1))
-    b = (inner - m[:-1]) / sigma  # upper edges of panels 0..P-2
-    a = (inner - m[1:]) / sigma  # lower edges of panels 1..P-1
+    ba = np.empty((2,) + m[1:].shape)  # (inner - m) / sigma, for b then a:
+    np.subtract(inner, m[:-1], out=ba[0])  # upper edges of panels 0..P-2
+    np.subtract(inner, m[1:], out=ba[1])  # lower edges of panels 1..P-1
+    ba /= sigma
+    b, a = ba
     logZ = np.zeros(m.shape)
     if len(m) > 1:
         from scipy.special import log_ndtr
@@ -99,30 +103,44 @@ def _panel_moments(C, B, A, edges):
         logZ[0], logZ[-1] = log_ndtr(b[0]), log_ndtr(-a[-1])
         if len(m) > 2:
             logZ[1:-1] = _log_gauss_mass(a[:-1], b[1:])
-    log_mass = A + B * B / (2.0 * C) + 0.5 * np.log(2.0 * math.pi / C) + logZ
-    # phi(a)/Z and phi(b)/Z; a panel with Z = 0 gets pi = 0 and is masked out
+    log_mass = B * B  # A + B * B / (2.0 * C) + 0.5 * log(2 pi / C) + logZ
+    log_mass /= 2.0 * C
+    log_mass += A
+    log_mass += 0.5 * np.log(2.0 * math.pi / C)
+    log_mass += logZ
+    # phi(x)/Z = exp(-0.5 x x - 0.5 log(2 pi) - logZ) at x = b, a; Z = 0 gets pi = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        d1 = np.exp(-0.5 * a * a - 0.5 * _LOG_2PI - logZ[1:])
-        d2 = np.exp(-0.5 * b * b - 0.5 * _LOG_2PI - logZ[:-1])
+        d = ba * -0.5
+        d *= ba
+        d -= 0.5 * _LOG_2PI
+        d[0] -= logZ[:-1]
+        d[1] -= logZ[1:]
+        d2, d1 = np.exp(d, out=d)
         dd = np.zeros(m.shape)  # phi(a)/Z - phi(b)/Z
         dd[1:] = d1
         dd[:-1] -= d2
         s = np.ones(m.shape)  # 1 + a phi(a)/Z - b phi(b)/Z
-        s[1:] += a * d1
-        s[:-1] -= b * d2
-    mean_p = m + sigma * dd
-    var_p = sigma * sigma * (s - dd * dd)
+        ba *= d
+        s[1:] += ba[1]
+        s[:-1] -= ba[0]
+    var_p = s  # sigma * sigma * (s - dd * dd)
+    var_p -= np.square(dd, out=logZ)
+    var_p *= sigma * sigma
+    mean_p = np.add(m, np.multiply(dd, sigma, out=dd), out=m)  # m + sigma * dd
 
     M = np.max(log_mass, axis=0)
     M = np.where(np.isfinite(M), M, 0.0)
-    w = np.exp(log_mass - M)
-    W = np.sum(w, axis=0)
-    pi = w / W
-    keep = pi > 0
-    mean_p = np.where(keep, mean_p, 0.0)
-    var_p = np.where(keep, np.maximum(var_p, 0.0), 0.0)
-    mean = np.sum(pi * mean_p, axis=0)
-    var = np.sum(pi * (var_p + (mean_p - mean) ** 2), axis=0)
+    pi = np.exp(np.subtract(log_mass, M, out=log_mass), out=log_mass)  # w, then w / W
+    W = np.sum(pi, axis=0)
+    pi /= W
+    drop = ~(pi > 0)
+    np.maximum(var_p, 0.0, out=var_p)
+    mean_p[drop] = var_p[drop] = 0.0
+    mean = np.sum(np.multiply(pi, mean_p, out=dd), axis=0)
+    # var = sum(pi * (var_p + (mean_p - mean) ** 2))
+    np.square(np.subtract(mean_p, mean, out=mean_p), out=mean_p)
+    mean_p += var_p
+    var = np.sum(np.multiply(pi, mean_p, out=mean_p), axis=0)
     return M + np.log(W), mean, np.maximum(var, 0.0)
 
 
@@ -371,7 +389,10 @@ class _Atoms:
             l = self.log_weights[:, None] + (xc @ zc.T - 0.5 * (q - q.min())[:, None]) / t
             zz = np.sum(zc * zc, axis=1)
         if not (np.all(np.isfinite(l)) and np.all(np.isfinite(zz))):
-            raise NumericalError("tilted atom weights are non-finite; recenter z before tilting")
+            j = int(np.argmin(np.all(np.isfinite(l), axis=0) & np.isfinite(zz)))
+            raise NumericalError(f"tilted atom weights are non-finite at z={zs[j].tolist()}, t="
+                                 f"{float(t[j] if np.ndim(t) else t)!r}: largest exponent "
+                                 f"{float(np.max(l[:, j]))!r}; recenter z before tilting")
         lse = _logsumexp(l, axis=0)
         pivot = locs[np.argmax(l, axis=0)]  # (n, d)
         mean, cov = _pool(np.exp(l - lse), locs[:, :, None] - pivot.T, 0.0)

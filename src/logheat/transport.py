@@ -11,13 +11,14 @@ u = e^{-t}; the short-time leg uses tau = e^{2t} - 1, where v varies fastest.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures as ms
 from .errors import NumericalError, ValidationError
-from .heatflow import _tilt, marginal_stats_1d, ou_log_derivatives
+from .heatflow import _BLOCK, _tilt, marginal_stats_1d, ou_log_derivatives
 from .numerics import rk4
 
 __all__ = [
@@ -31,9 +32,6 @@ __all__ = [
     "theta_envelope",
     "reverse_sde_sample",
 ]
-
-
-_TILT_BLOCK = 4096  # points per _tilt call in theta_envelope: small temporaries, few calls
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ def theta_envelope(
         raise ValidationError(f"time t={float(times[bad][0])!r} is out of range: need t > 0 "
                               "and e^(2t) max(1, x^2) finite on the space grid")
     th_min, th_max = np.empty(times.size), np.empty(times.size)
-    rows = max(1, _TILT_BLOCK // max(xs.size, 1))
+    rows = max(1, _BLOCK // max(xs.size, 1))
     for i in range(0, times.size, rows):
         blk = slice(i, i + rows)
         zs = (scale[blk, None] * xs).reshape(-1, 1)
@@ -291,8 +289,14 @@ def reverse_sde_sample(
     initialized exactly at the OU marginal of `measure` at time t1.  Returns
     samples of shape (n, dim), approximately distributed as `measure`.
     """
-    if not (t1 > 0 and n >= 1 and steps >= 1 and seed >= 0):
-        raise ValidationError("need t1 > 0, n >= 1, steps >= 1, seed >= 0")
+    if not (t1 > 0 and math.exp(-t1) > 0):
+        raise ValidationError(f"need 0 < t1 <= 745.1332191019411 (e^(-t1) > 0), got t1={t1!r}")
+    try:
+        n, steps, seed = operator.index(n), operator.index(steps), operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"need integer n, steps, seed: {n!r}, {steps!r}, {seed!r}") from None
+    if not (n >= 1 and steps >= 1 and seed >= 0):
+        raise ValidationError("need n >= 1, steps >= 1, seed >= 0")
     rng = np.random.default_rng(seed)
     d = measure.dim
     x0 = ms.sample(measure, n, seed=seed + 1)
@@ -306,7 +310,10 @@ def reverse_sde_sample(
             score = marginal_stats_1d(measure, s, y[:, 0])[1][:, None]
         else:
             score = ou_log_derivatives(measure, s, y)[1] - y
-        y = y + dt * (y + 2.0 * score) + sq * rng.standard_normal((n, d))
+        y_prev, y = y, y + dt * (y + 2.0 * score) + sq * rng.standard_normal((n, d))
         if not np.all(np.isfinite(y)):
-            raise NumericalError(f"reverse diffusion blew up at step {k + 1}")
+            bad = np.flatnonzero(~np.all(np.isfinite(y), axis=1))
+            raise NumericalError(f"reverse diffusion blew up at step {k + 1} (OU time s={s!r}): "
+                                 f"{bad.size} of {n} samples non-finite, the first at index "
+                                 f"{bad[0]} from {y_prev[bad[0]].tolist()}")
     return y

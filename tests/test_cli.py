@@ -228,6 +228,13 @@ class TestReverseSde:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_infinite_horizon_exit_2(self, tmp_path, capsys, mixture_file):
+        rc = main(["reverse-sde", "--measure", mixture_file, "--n", "10",
+                   "--steps", "2", "--t1", "inf", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: need 0 < t1 <= 745.1332191019411 (e^(-t1) > 0), got t1=inf\n")
+
 
 class TestInvalidArguments:
     @pytest.mark.parametrize("argv", [

@@ -29,7 +29,7 @@ from logheat import (
     tilted_moments,
     wasserstein2_1d,
 )
-from logheat.heatflow import marginal_stats_1d
+from logheat.heatflow import _tilt, marginal_stats_1d
 from logheat.measures import convolve_gaussian
 
 from conftest import random_atomic, random_mixture, random_perturbed
@@ -70,6 +70,14 @@ class TestTiltedMoments:
     def test_huge_tilt_raises(self):
         with pytest.raises(NumericalError):
             tilted_moments(two_atoms(), [1e160], 1.0)
+
+    def test_huge_tilt_names_row(self):
+        # z.x/t overflows: the message gives the row's z and t and the exponent
+        zs = np.array([[0.5], [1e305]])
+        for t in (1e-5, np.array([1.0, 1e-5])):
+            with pytest.raises(NumericalError, match=r"non-finite at z=\[1e\+305\], t=1e-05: "
+                                                     r"largest exponent inf; recenter z"):
+                _tilt(two_atoms(), zs, t)
 
     def test_perturbed_vs_trapezoid(self):
         pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[1.0, -1.0])

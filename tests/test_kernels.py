@@ -2,12 +2,16 @@
 
 The references below are the earlier implementations, kept verbatim as
 oracles: the panel kernel that standardised every edge, infinite ones
-included, and the mixture posterior laid out (n, k, d) with its einsum
-reductions.  The kernels in ``src/`` must reproduce them to rounding.
+included, the panel kernel written as whole-array expressions before its
+temporaries were updated in place, and the mixture posterior laid out
+(n, k, d) with its einsum reductions.  The kernels in ``src/`` must
+reproduce them to rounding; the in-place panel kernel and the row blocks of
+``_tilt`` must reproduce theirs bit for bit.
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +25,7 @@ from logheat import (
     measure_from_json,
     score,
 )
+from logheat import measures as ms
 from logheat.heatflow import _tilt
 from logheat.measures import _LOG_2PI, _log_gauss_mass, _logsumexp, _panel_moments
 
@@ -41,6 +46,46 @@ def _panel_moments_all_edges(C, B, A, edges):
     dd = d1 - d2
     mean_p = m + sigma * dd
     var_p = sigma * sigma * (1.0 + t1 - t2 - dd * dd)
+    M = np.max(log_mass, axis=0)
+    M = np.where(np.isfinite(M), M, 0.0)
+    w = np.exp(log_mass - M)
+    W = np.sum(w, axis=0)
+    pi = w / W
+    keep = pi > 0
+    mean_p = np.where(keep, mean_p, 0.0)
+    var_p = np.where(keep, np.maximum(var_p, 0.0), 0.0)
+    mean = np.sum(pi * mean_p, axis=0)
+    var = np.sum(pi * (var_p + (mean_p - mean) ** 2), axis=0)
+    return M + np.log(W), mean, np.maximum(var, 0.0)
+
+
+def _panel_moments_expressions(C, B, A, edges):
+    sigma = 1.0 / np.sqrt(C)
+    m = B / C
+    inner = edges[1:-1].reshape((-1,) + (1,) * (B.ndim - 1))
+    b = (inner - m[:-1]) / sigma  # upper edges of panels 0..P-2
+    a = (inner - m[1:]) / sigma  # lower edges of panels 1..P-1
+    logZ = np.zeros(m.shape)
+    if len(m) > 1:
+        from scipy.special import log_ndtr
+
+        logZ[0], logZ[-1] = log_ndtr(b[0]), log_ndtr(-a[-1])
+        if len(m) > 2:
+            logZ[1:-1] = _log_gauss_mass(a[:-1], b[1:])
+    log_mass = A + B * B / (2.0 * C) + 0.5 * np.log(2.0 * math.pi / C) + logZ
+    # phi(a)/Z and phi(b)/Z; a panel with Z = 0 gets pi = 0 and is masked out
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = np.exp(-0.5 * a * a - 0.5 * _LOG_2PI - logZ[1:])
+        d2 = np.exp(-0.5 * b * b - 0.5 * _LOG_2PI - logZ[:-1])
+        dd = np.zeros(m.shape)  # phi(a)/Z - phi(b)/Z
+        dd[1:] = d1
+        dd[:-1] -= d2
+        s = np.ones(m.shape)  # 1 + a phi(a)/Z - b phi(b)/Z
+        s[1:] += a * d1
+        s[:-1] -= b * d2
+    mean_p = m + sigma * dd
+    var_p = sigma * sigma * (s - dd * dd)
+
     M = np.max(log_mass, axis=0)
     M = np.where(np.isfinite(M), M, 0.0)
     w = np.exp(log_mass - M)
@@ -129,6 +174,26 @@ class TestPanelKernel:
         want = _panel_moments_all_edges(C, B, A, pm.panel_edges)
         for g, w in zip(got, want):
             assert_matches(g, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_perturbed(), st.floats(-6.0, 2.0), st.sampled_from([1.0, 1e2, 1e4]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_in_place_matches_expressions_bitwise(self, pm, log10_t, scale, per_row, seed):
+        rng = np.random.default_rng(seed)
+        z = scale * rng.uniform(-1.0, 1.0, 64)
+        t = 10.0 ** rng.uniform(-6.0, 2.0, z.size) if per_row else 10.0**log10_t
+        B = z / t - pm.panel_b[:, None]
+        A = -pm.panel_a[:, None] - z * z / (2.0 * t)
+        C = pm.alpha + 1.0 / t
+        got = _panel_moments(C, B, A, pm.panel_edges)
+        want = _panel_moments_expressions(C, B, A, pm.panel_edges)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        # the constructor and mean_variance_1d pass 1-D (P,) coefficients
+        got = _panel_moments(pm.alpha, -pm.panel_b, -pm.panel_a, pm.panel_edges)
+        want = _panel_moments_expressions(pm.alpha, -pm.panel_b, -pm.panel_a, pm.panel_edges)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
 
     @settings(max_examples=100, deadline=None)
     @given(_perturbed())
@@ -237,3 +302,45 @@ class TestPerPointTimes:
                         (got[2], cov, spread[:, None, None])]:
             assert g.shape == w.shape
             assert np.all(np.abs(g - w) <= 1e-13 * (np.abs(w) + s))
+
+
+_BLOCK_TARGETS = {
+    "kink": make_perturbed(1, [], [0], [0], [-1, 1]),
+    "interior-panels": make_perturbed(1, [-1, 1], [-0.5, 0, 0.5], [0, 2], [-1, 1, 0]),
+    "mix1d": GaussianMixture(dim=1, weights=np.array([0.5, 0.5]),
+                             means=np.array([[-2.0], [2.0]]), variances=np.array([1.0, 1.0])),
+    "mix2d": GaussianMixture(dim=2, weights=np.array([0.3, 0.7]),
+                             means=np.array([[-2.0, 1.0], [2.0, 0.0]]),
+                             variances=np.array([1.0, 0.5])),
+    "atoms1d": AtomicMeasure(dim=1, weights=np.array([0.2, 0.8]),
+                             locations=np.array([[0.0], [2.0]])),
+    "atoms2d": AtomicMeasure(dim=2, weights=np.array([0.2, 0.3, 0.5]),
+                             locations=np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0]])),
+}
+
+
+class TestRowBlocks:
+    """A batch of any size gives, bit for bit, the rows of smaller batches
+    starting at multiples of 4, and of one kernel call over every row:
+    ``_tilt`` evaluates a large batch in blocks of 4096 rows."""
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-t", "per-row-t"])
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 3 * 4096 + 5])
+    @pytest.mark.parametrize("name", list(_BLOCK_TARGETS))
+    def test_matches_sliced_calls(self, name, n, per_row):
+        mu = _BLOCK_TARGETS[name]
+        rng = np.random.default_rng(n)
+        zs = rng.uniform(-8.0, 8.0, (n, mu.dim))
+        t = 10.0 ** rng.uniform(-3.0, 1.0, n) if per_row else 0.7
+        got = _tilt(mu, zs, t)
+        # slices of 2048 rows, with edges between the block edges: a matrix
+        # product rounds the last (n mod 4) rows of a call apart, so slices
+        # start at multiples of 4 to keep each row's arithmetic
+        cuts = list(range(0, n, 2048)) + [n]
+        parts = [_tilt(mu, zs[i:j], t[i:j] if per_row else t) for i, j in zip(cuts, cuts[1:])]
+        for g, w in zip(got, zip(*parts)):
+            assert np.array_equal(g, np.concatenate(w), equal_nan=True)
+        # and every row in one call of the family kernel
+        log_mass, mean, cov = ms._kernel(mu, "_tilt")(zs, t)
+        assert np.array_equal(got[0], log_mass) and np.array_equal(got[1], mean)
+        assert np.array_equal(got[2], 0.5 * (cov + np.swapaxes(cov, 1, 2)))

@@ -417,3 +417,37 @@ class TestReverseSde:
             reverse_sde_sample(standard_gaussian(1), 10, 10, 0.0)
         with pytest.raises(ValidationError):
             reverse_sde_sample(standard_gaussian(1), 0, 10, 1.0)
+
+    @pytest.mark.parametrize("t1", [math.inf, 800.0, math.nan])
+    def test_horizon_out_of_range_names_t1(self, t1):
+        # e^{-t1} underflows to 0 from t1 = 745.1332191019412 on
+        with pytest.raises(ValidationError, match=(
+                rf"need 0 < t1 <= 745\.1332191019411 \(e\^\(-t1\) > 0\), got t1={t1!r}")):
+            reverse_sde_sample(standard_gaussian(1), 10, 5, t1)
+
+    @pytest.mark.parametrize("n, steps, seed", [(2.5, 5, 0), (10, 2.5, 0), (10, 5, 2.5)])
+    def test_non_integer_counts(self, n, steps, seed):
+        with pytest.raises(ValidationError,
+                           match=rf"need integer n, steps, seed: {n!r}, {steps!r}, {seed!r}"):
+            reverse_sde_sample(standard_gaussian(1), n, steps, 1.0, seed=seed)
+
+    def test_blowup_names_time_and_samples(self, monkeypatch):
+        # an infinite score at the third step sends samples 2 and 5 to inf; the
+        # message gives that step's OU time and the first bad sample's last value
+        real, calls = transport.marginal_stats_1d, []
+
+        def stats_1d(measure, t, xs):
+            calls.append((t, xs.copy()))
+            out = real(measure, t, xs)
+            if len(calls) == 3:
+                out[1][[2, 5]] = np.inf
+            return out
+
+        monkeypatch.setattr(transport, "marginal_stats_1d", stats_1d)
+        with pytest.raises(NumericalError) as err:
+            reverse_sde_sample(standard_gaussian(1), 7, 5, 1.0, seed=4)
+        s, y = calls[-1]
+        assert len(calls) == 3 and s == pytest.approx(0.6)
+        assert str(err.value) == (
+            f"reverse diffusion blew up at step 3 (OU time s={s!r}): 2 of 7 samples "
+            f"non-finite, the first at index 2 from [{float(y[2])!r}]")
