@@ -74,14 +74,18 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(report: dict, out_dir: str | None, name: str) -> None:
-    """Print the report (with wall time) and write the deterministic file."""
+def _emit(report: dict, out_dir: str | None, name: str,
+          diagnostics: dict | None = None) -> None:
+    """Print the report (with wall time and any diagnostics) and write the
+    deterministic file, which carries neither."""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(_json_text(report))
     shown = dict(report)
     shown["wall_time"] = time.time() - _T0
+    if diagnostics is not None:
+        shown["diagnostics"] = diagnostics
     sys.stdout.write(_json_text(shown))
 
 
@@ -207,7 +211,8 @@ def _cmd_transport(args) -> int:
     if params is not None and params[0] > 0:
         consts = bd.transport_constants(bd.PerturbationParams(*params))
         report["thm3_constant"] = consts["thm3"]
-    _emit(report, args.out, "transport.json")
+    _emit(report, args.out, "transport.json", {"velocity_evals": flow.velocity_evals,
+                                                "steps_per_unit": flow.steps_per_unit})
     return 0
 
 
@@ -221,7 +226,8 @@ def _cmd_counterexample(args) -> int:
               "coefficient": args.coefficient,
               "exp_psi_moment": measure.exp_psi_moment}
     report.update(cert.to_json())
-    _emit(report, args.out, "certificate.json")
+    _emit(report, args.out, "certificate.json", {"split_evals": cert.split_evals,
+                                                  "escalations": cert.escalations})
     return 0
 
 

@@ -6,7 +6,9 @@ integrating the velocity field v(t, x) = -(score of the OU marginal + x)
 backward from a horizon set by a moment bound on W2 down to 0.  An exact
 affine start matching the OU marginal's mean and standard deviation absorbs
 the truncation and leaves v = O(e^{-t}), so the long-time leg runs in
-u = e^{-t}; the short-time leg uses tau = e^{2t} - 1, where v varies fastest.
+u = e^{-t}.  Near t = 0 the velocity of a log-Lipschitz perturbation varies in x
+like 1/sqrt(tau), tau = e^{2t} - 1, so the short-time leg runs in sigma = sqrt(tau),
+where the right-hand side stays Lipschitz and RK4 keeps its fourth order.
 """
 from __future__ import annotations
 
@@ -86,12 +88,18 @@ class PushforwardReport:
     var_error: float
 
 
+def _horizon_error(name: str, value: float) -> ValidationError:
+    """A horizon whose OU marginal scales the target out of the float range."""
+    return ValidationError(f"horizon {name}={value!r} is too long for this target: its OU "
+                           f"marginal scales it by e^(-{name}) out of the float range")
+
+
 def build_flow_map(
     measure,
     n_points: int = 257,
     t_max: float | None = None,
-    steps_per_unit: int = 400,
-    t_min: float = 1e-4,
+    steps_per_unit: int = 100,
+    t_min: float = 1e-6,
     t_split: float = 0.5,
     inputs: np.ndarray | None = None,
 ) -> FlowMap:
@@ -100,9 +108,10 @@ def build_flow_map(
     Starts at t_max (default max(3, log(W / 1e-4)), where W = sqrt(mean^2 +
     var) + 1 >= W2(mu, gamma)) from the exact affine image of the inputs,
     integrates dy/dt = v(t, y) down to t_min with steps_per_unit RK4 steps per
-    unit of u = e^{-t} above t_split and of tau = e^{2t} - 1 below it, and
-    removes the final [0, t_min] leg by Richardson extrapolation from t_min and
-    t_min / 2.
+    unit of u = e^{-t} above t_split (at least 32) and of sigma = sqrt(e^{2t} - 1)
+    below it (at least 16), and removes the final [0, t_min] leg by Richardson
+    extrapolation from t_min and t_min / 2 (2 steps in sigma).  At the defaults
+    that is 776 velocity batches, 268 at 25 steps per unit.
     """
     if getattr(measure, "dim", None) != 1:
         raise ValidationError("flow maps are built for 1D measures only")
@@ -133,12 +142,14 @@ def build_flow_map(
         evals += 1
         try:
             return -(marginal_stats_1d(measure, t, x)[1] + x)
-        except ValidationError:  # a stage state that blew up is no input error
-            if np.all(np.isfinite(x)):
-                raise
-            raise NumericalError(f"non-finite RK4 stage state at t={t:.6g}") from None
+        except ValidationError as err:  # a stage state that blew up is no input error
+            if not np.all(np.isfinite(x)):
+                raise NumericalError(f"non-finite RK4 stage state at t={t:.6g}") from None
+            if evals == 1:  # the first batch is at t_max, the widest OU scaling
+                raise _horizon_error("t_max", t_max) from err
+            raise
 
-    def leg(name, t_hi, t_lo, *args):  # rk4 reports its own variable, u or tau
+    def leg(name, t_hi, t_lo, *args):  # rk4 reports its own variable, u or sigma
         try:
             return rk4(*args)
         except NumericalError as err:
@@ -150,17 +161,18 @@ def build_flow_map(
     nA = max(32, int(math.ceil(steps_per_unit * (u_split - u_max))))
     y = leg("A", t_max, t_split, lambda u, x: -vel(-math.log(u), x) / u, y, u_max, u_split, nA)
 
-    # legs B/C: substituted variable tau = e^{2t} - 1, dy/dtau = v / (2(1+tau))
-    def vel_tau(tau, x):
-        t = 0.5 * math.log1p(tau)
-        return vel(t, x) / (2.0 * (1.0 + tau))
+    # legs B/C in sigma = sqrt(e^{2t} - 1), dy/dsigma = sigma v / (1 + sigma^2): the
+    # x-slope of v grows like 1/sigma as t -> 0, so this right-hand side stays Lipschitz
+    def vel_sigma(sigma, x):
+        s2 = sigma * sigma
+        return vel(0.5 * math.log1p(s2), x) * (sigma / (1.0 + s2))
 
-    tau_split = math.expm1(2.0 * t_split)
-    tau_min = math.expm1(2.0 * t_min)
-    tau_half = math.expm1(t_min)  # tau at t_min / 2
-    nB = max(16, int(math.ceil(steps_per_unit * (tau_split - tau_min))))
-    y_tmin = leg("B", t_split, t_min, vel_tau, y, tau_split, tau_min, nB)
-    y_half = leg("C", t_min, 0.5 * t_min, vel_tau, y_tmin, tau_min, tau_half, 16)
+    sigma_split = math.sqrt(math.expm1(2.0 * t_split))
+    sigma_min = math.sqrt(math.expm1(2.0 * t_min))
+    sigma_half = math.sqrt(math.expm1(t_min))  # sigma at t_min / 2
+    nB = max(16, int(math.ceil(steps_per_unit * (sigma_split - sigma_min))))
+    y_tmin = leg("B", t_split, t_min, vel_sigma, y, sigma_split, sigma_min, nB)
+    y_half = leg("C", t_min, 0.5 * t_min, vel_sigma, y_tmin, sigma_min, sigma_half, 2)
     images = 2.0 * y_half - y_tmin
 
     if np.any(np.diff(images) < -1e-10):
@@ -306,10 +318,15 @@ def reverse_sde_sample(
     sq = math.sqrt(2.0 * dt)
     for k in range(steps):
         s = t1 - k * dt  # remaining OU time; >= dt > 0
-        if d == 1:
-            score = marginal_stats_1d(measure, s, y[:, 0])[1][:, None]
-        else:
-            score = ou_log_derivatives(measure, s, y)[1] - y
+        try:
+            if d == 1:
+                score = marginal_stats_1d(measure, s, y[:, 0])[1][:, None]
+            else:
+                score = ou_log_derivatives(measure, s, y)[1] - y
+        except ValidationError as err:
+            if k:
+                raise
+            raise _horizon_error("t1", t1) from err  # the first step is at s = t1
         y_prev, y = y, y + dt * (y + 2.0 * score) + sq * rng.standard_normal((n, d))
         if not np.all(np.isfinite(y)):
             bad = np.flatnonzero(~np.all(np.isfinite(y), axis=1))

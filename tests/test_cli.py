@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from logheat import build_counterexample, variance_certificate
 from logheat.cli import main
 
 
@@ -265,6 +266,29 @@ class TestDeterminism:
         r2 = json.loads((d2 / "reverse_sde.json").read_text())
         r1.pop("csv"), r2.pop("csv")  # embeds the per-run output path
         assert r1 == r2
+
+    @pytest.mark.parametrize("argv, name", [
+        (["transport", "--measure", "{perturbed}", "--points", "33", "--samples", "500"],
+         "transport.json"),
+        (["counterexample", "--t", "1", "--target-m", "5"], "certificate.json"),
+    ], ids=["transport", "counterexample"])
+    def test_diagnostics_on_stdout_only(self, tmp_path, capsys, perturbed_file, argv, name):
+        # the same --out directory twice, since transport.json embeds its CSV path
+        written = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert main([a.format(perturbed=perturbed_file) for a in argv]
+                        + ["--out", str(tmp_path)]) == 0
+            shown = json.loads(capsys.readouterr().out)
+            written.append((tmp_path / name).read_bytes())
+        assert written[0] == written[1]
+        assert "diagnostics" not in json.loads(written[0])
+        if argv[0] == "transport":
+            expected = {"velocity_evals": 776, "steps_per_unit": 100}
+        else:
+            cert = variance_certificate(build_counterexample(lambda x: 0.0), 1.0, 5.0)
+            expected = {"split_evals": cert.split_evals, "escalations": cert.escalations}
+        assert shown["diagnostics"] == expected
 
     def test_bounds_rerun_identical(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"

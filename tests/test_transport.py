@@ -1,6 +1,7 @@
 """Flow-map construction, Lipschitz certification, theta envelopes, and the
 reverse-diffusion sampler."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -124,10 +125,10 @@ class TestBuildFlowMap:
 
     @pytest.mark.parametrize("t_bad, pattern", [
         (math.inf, r"leg A, between t=0\.5 and t=9\.90349"),  # inf from the first call
-        (0.3, r"leg B, between t=0\.0001 and t=0\.5"),
+        (0.3, r"leg B, between t=1e-06 and t=0\.5"),
     ])
     def test_blowup_names_leg_in_t(self, monkeypatch, t_bad, pattern):
-        # the legs integrate in u = e^{-t} and tau = e^{2t} - 1; the error
+        # the legs integrate in u = e^{-t} and sigma = sqrt(e^{2t} - 1); the error
         # names the time t, not the integration variable
         real = transport.marginal_stats_1d
 
@@ -145,7 +146,7 @@ class TestBuildFlowMap:
         # the next stage's state infinite; the kernel rejects that state as
         # an input, and the flow map reports it as the blow-up on leg B
         real = transport.marginal_stats_1d
-        t_mid = 0.2995649706  # a midpoint stage time of leg B at the defaults
+        t_mid = 0.2996540078  # a midpoint stage time of leg B (step 41 of 131) at the defaults
 
         def stats_1d(measure, t, xs):
             if abs(t - t_mid) < 1e-9:
@@ -154,8 +155,14 @@ class TestBuildFlowMap:
 
         monkeypatch.setattr(transport, "marginal_stats_1d", stats_1d)
         with np.errstate(invalid="ignore"), pytest.raises(
-                NumericalError, match=r"leg B, between t=0\.0001 and t=0\.5"):
+                NumericalError, match=r"leg B, between t=1e-06 and t=0\.5"):
             build_flow_map(standard_gaussian(1), n_points=9)
+
+    def test_horizon_out_of_float_range_names_t_max(self):
+        # e^{-400} is positive, but the OU scaling of the kink overflows
+        with pytest.raises(ValidationError, match=r"horizon t_max=400\.0 is too long") as err:
+            build_flow_map(KINK, n_points=9, t_max=400.0)
+        assert "dilation by" in str(err.value.__cause__)
 
 
 def quantile_map(measure, xs):
@@ -172,24 +179,78 @@ def quantile_map(measure, xs):
 
 KINK = make_perturbed(1.0, [], [0.0], [0.0], [-1.0, 1.0])
 MIX = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 1.0)])
+INTERIOR = make_perturbed(1, [-1, 1], [-0.5, 0, 0.5], [0, 2], [-1, 1, 0])
+
+
+def flow_error(measure, **kwargs):
+    """Max error of the flow map against quantile_map on the 257 default inputs."""
+    flow = build_flow_map(measure, **kwargs)
+    return float(np.max(np.abs(flow.images - quantile_map(measure, flow.inputs))))
 
 
 class TestFlowMapAccuracy:
     # max error against quantile_map on the 257 default inputs when leg A
-    # still ran in plain t; the kink's error lives near t -> 0 and falls
-    # linearly in the step count, the mixture sits at the ~1.3e-8 floor of
-    # the Richardson leg
+    # still ran in plain t and legs B/C in tau = e^{2t} - 1 with t_min = 1e-4;
+    # the kink's error lived near t -> 0 and fell linearly in the step count,
+    # the mixture sat at the ~1.3e-8 floor of the Richardson leg
     REFERENCE = {
         ("kink", 25): 1.6907e-3, ("kink", 100): 2.3058e-4, ("kink", 400): 1.2132e-5,
         ("mix", 25): 4.8707e-8, ("mix", 100): 1.3123e-8, ("mix", 400): 1.2982e-8,
+    }
+    # the same errors with legs B/C in sigma = sqrt(tau) and t_min = 1e-6: the
+    # kink's error falls 28-fold from 25 to 100 steps per unit, not 7-fold
+    SIGMA_REFERENCE = {
+        ("kink", 25): 1.4891e-5, ("kink", 100): 5.3556e-7,
+        ("mix", 25): 3.8602e-8, ("mix", 100): 1.7663e-9,
+    }
+    # the errors at the defaults before legs B/C moved to sigma (400 steps per
+    # unit, t_min = 1e-4, 3788 velocity batches)
+    OLD_DEFAULT = {
+        "kink": (KINK, 1.21e-5),
+        "mix": (MIX, 1.30e-8),
+        "sharp": (make_perturbed(1.0, [], [0.0], [0.0], [1.0, -1.0]), 6.96e-6),
+        "chain": (make_perturbed(1.0, [], [0.0], [0.0], [0.8, -0.8]), 9.37e-6),
+        "interior": (INTERIOR, 1.24e-5),
+        "N(0,4)": (gaussian_1d(var=4.0), 1.25e-8),
+        "N(40,1)": (gaussian_1d(mean=40.0), 1.00e-7),
+        "unequal-mix": (make_gaussian_mixture([(0.3, [-1.0], 0.5), (0.7, [2.0], 1.0)]),
+                        1.73e-8),
+        "kink-alpha50": (make_perturbed(50.0, [], [0.0], [0.0], [-1.0, 1.0]), 1.28e-5),
+        "kink-alpha0.05": (make_perturbed(0.05, [], [0.0], [0.0], [-1.0, 1.0]), 1.12e-5),
     }
 
     @pytest.mark.parametrize("name, steps", list(REFERENCE))
     def test_error_against_quantile_map(self, name, steps):
         measure = {"kink": KINK, "mix": MIX}[name]
-        flow = build_flow_map(measure, steps_per_unit=steps)
-        err = float(np.max(np.abs(flow.images - quantile_map(measure, flow.inputs))))
-        assert err <= 1.05 * self.REFERENCE[name, steps]
+        assert flow_error(measure, steps_per_unit=steps) <= 1.05 * self.REFERENCE[name, steps]
+
+    @pytest.mark.parametrize("name, steps", list(SIGMA_REFERENCE))
+    def test_sigma_leg_error(self, name, steps):
+        measure = {"kink": KINK, "mix": MIX}[name]
+        assert flow_error(measure, steps_per_unit=steps) <= 1.05 * self.SIGMA_REFERENCE[name, steps]
+
+    @pytest.mark.parametrize("name", list(OLD_DEFAULT))
+    def test_defaults_beat_old_defaults(self, name):
+        measure, old = self.OLD_DEFAULT[name]
+        assert flow_error(measure) <= old
+
+    @pytest.mark.parametrize("measure", [KINK, MIX, INTERIOR, gaussian_1d(mean=40.0)],
+                             ids=["kink", "mix", "interior", "N(40,1)"])
+    def test_velocity_batch_counts(self, measure):
+        # 4 RK4 stages per step: leg A 32 and 61 steps (the floor of 32, then
+        # ceil(100 (e^{-1/2} - e^{-t_max}))), leg B 33 and 131, leg C 2
+        assert build_flow_map(measure, n_points=9, steps_per_unit=25).velocity_evals == 268
+        assert build_flow_map(measure, n_points=9).velocity_evals == 776
+
+    def test_narrow_components_warning_free(self):
+        # variances 1e-3 and 2e-3 give the largest velocity slopes at the last
+        # stage, t_min / 2 = 5e-7; none of its batches may warn
+        narrow = make_gaussian_mixture([(0.5, [-1.0], 1e-3), (0.5, [1.0], 2e-3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            flow = build_flow_map(narrow)
+        assert flow.t_min / 2 == 5e-7
+        assert np.all(np.isfinite(flow.images)) and np.all(np.diff(flow.images) >= 0)
 
     def test_far_shifted_gaussian(self):
         # N(40, 1) starts from a later horizon than N(0, 1), but the long-time
@@ -289,7 +350,6 @@ def theta_mpmath(pm, t, x):
         return float((var_tau / tau - 1) / -mpmath.expm1(-2 * t) + 1)
 
 
-INTERIOR = make_perturbed(1, [-1, 1], [-0.5, 0, 0.5], [0, 2], [-1, 1, 0])
 THETA_TARGETS = {
     "kink": KINK,
     "mix": MIX,
@@ -424,6 +484,19 @@ class TestReverseSde:
         with pytest.raises(ValidationError, match=(
                 rf"need 0 < t1 <= 745\.1332191019411 \(e\^\(-t1\) > 0\), got t1={t1!r}")):
             reverse_sde_sample(standard_gaussian(1), 10, 5, t1)
+
+    @pytest.mark.parametrize("measure, t1", [(KINK, 356.0), (standard_gaussian(1), 400.0),
+                                             (standard_gaussian(1), 745.0)])
+    def test_horizon_beyond_float_range_names_t1(self, measure, t1):
+        # e^{-t1} > 0, but scaling the target by it leaves the float range; the
+        # error names t1 and chains the dilation's own message
+        with pytest.raises(ValidationError, match=rf"horizon t1={t1!r} is too long") as err:
+            reverse_sde_sample(measure, 10, 5, t1)
+        assert str(err.value.__cause__).startswith("dilation by")
+
+    def test_long_horizon_in_range(self):
+        ys = reverse_sde_sample(KINK, 10, 5, 354.0)
+        assert ys.shape == (10, 1) and np.all(np.isfinite(ys))
 
     @pytest.mark.parametrize("n, steps, seed", [(2.5, 5, 0), (10, 2.5, 0), (10, 5, 2.5)])
     def test_non_integer_counts(self, n, steps, seed):
