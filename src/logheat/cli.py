@@ -196,7 +196,6 @@ def _cmd_transport(args) -> int:
     theta = theta_envelope(measure)
     report = {
         "command": "transport",
-        "t_max": flow.t_max,
         "points": args.points,
         "csv": csv_path,
         "empirical_lipschitz": lip_est.value,
@@ -352,7 +351,6 @@ def _build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("bounds", parents=[], help="closed-form envelope report")
     sp.add_argument("--alpha", type=float, required=True)
@@ -377,6 +375,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--measure", required=True)
     sp.add_argument("--points", type=int, default=257)
     sp.add_argument("--samples", type=int, default=20000)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=_cmd_transport)
 
@@ -420,6 +419,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=20000)
     sp.add_argument("--steps", type=int, default=400)
     sp.add_argument("--t1", type=float, default=3.0)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=_cmd_reverse_sde)
 

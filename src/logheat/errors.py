@@ -1,4 +1,5 @@
 """Exception hierarchy shared by all logheat modules."""
+import operator
 
 
 class LogheatError(Exception):
@@ -31,3 +32,11 @@ class PreconditionError(LogheatError):
 
 class SearchError(LogheatError):
     """A certificate search ran out of bracket or truncation budget."""
+
+
+def check_integers(names: str, *values) -> tuple[int, ...]:
+    """The values as ints through ``operator.index``; 2.5 is a ValidationError naming them all."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValidationError(f"need integer {names}: {', '.join(map(repr, values))}") from None

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, NumericalError, ValidationError
+from .errors import CapabilityError, NumericalError, ValidationError, check_integers
 
 __all__ = [
     "GaussianMixture",
@@ -753,6 +753,7 @@ def sample(measure, n: int, seed: int = 0) -> np.ndarray:
 
     Returns shape (n, dim); callers in 1D may squeeze.
     """
+    n, seed = check_integers("n, seed", n, seed)
     if not (n >= 1 and seed >= 0):
         raise ValidationError("need n >= 1 and seed >= 0")
     return _kernel(measure, "_sample")(np.random.default_rng(seed), n)

@@ -55,13 +55,13 @@ def rk4(f, y: np.ndarray, s0: float, s1: float, n: int) -> np.ndarray:
     """Classical RK4 for dy/ds = f(s, y) from s0 to s1 (either direction) in
     n equal steps; returns the final state."""
     h = (s1 - s0) / n
-    times = np.linspace(s0, s1, n + 1)
+    times = np.linspace(s0, s1, n + 1)  # the stages take s from here: the last is s1 exactly
     for k in range(n):
-        s = times[k]
-        k1 = f(s, y)
-        k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(s + h, y + h * k3)
+        mid = 0.5 * (times[k] + times[k + 1])
+        k1 = f(times[k], y)
+        k2 = f(mid, y + 0.5 * h * k1)
+        k3 = f(mid, y + 0.5 * h * k2)
+        k4 = f(times[k + 1], y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             bad = int(np.argmax(~np.isfinite(y)))

@@ -1,25 +1,24 @@
 """Heat-flow transport maps, their Lipschitz certification, and the
 reverse-time diffusion sampler.
 
-The flow map from the standard Gaussian to a 1D target is built by
-integrating the velocity field v(t, x) = -(score of the OU marginal + x)
-backward from a horizon set by a moment bound on W2 down to 0.  An exact
-affine start matching the OU marginal's mean and standard deviation absorbs
-the truncation and leaves v = O(e^{-t}), so the long-time leg runs in
-u = e^{-t}.  Near t = 0 the velocity of a log-Lipschitz perturbation varies in x
-like 1/sqrt(tau), tau = e^{2t} - 1, so the short-time leg runs in sigma = sqrt(tau),
-where the right-hand side stays Lipschitz and RK4 keeps its fourth order.
+The flow map from the standard Gaussian to a 1D target integrates the velocity
+field v(t, x) = -(score of the OU marginal + x) backward from t = inf to 0.  In
+the OU angle theta = arccos e^{-t} the marginal is cos(theta) X + sin(theta) Z and
+dy/dtheta = tan(theta) v is smooth on [0, pi/2], -mean at t = inf and 0 at t = 0,
+so one RK4 leg in psi = 3 tan(theta / 3) covers the whole range with no horizon
+and no start fitted to the target.  Near t = 0, psi is close to
+sigma = sqrt(e^{2t} - 1), in which the velocity of a log-Lipschitz perturbation
+(its x-slope grows like 1/sigma) keeps RK4 at fourth order.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures as ms
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_integers
 from .heatflow import _BLOCK, _tilt, marginal_stats_1d, ou_log_derivatives
 from .numerics import rk4
 
@@ -40,8 +39,6 @@ __all__ = [
 class FlowMap:
     """Discretized transport map from gamma to a 1D target."""
 
-    t_max: float
-    t_min: float
     inputs: np.ndarray
     images: np.ndarray
     steps_per_unit: int
@@ -88,107 +85,83 @@ class PushforwardReport:
     var_error: float
 
 
-def _horizon_error(name: str, value: float) -> ValidationError:
-    """A horizon whose OU marginal scales the target out of the float range."""
-    return ValidationError(f"horizon {name}={value!r} is too long for this target: its OU "
-                           f"marginal scales it by e^(-{name}) out of the float range")
+_PSI_MAX = math.sqrt(3.0)  # psi = 3 tan(theta / 3) at theta = pi / 2, t = inf
+
+
+def _ou_time(psi: float) -> tuple[float, float]:
+    """(t, tan theta) at psi = 3 tan(theta / 3), with cos theta = e^{-t}."""
+    sigma = math.tan(3.0 * math.atan(psi / 3.0))
+    return 0.5 * math.log1p(sigma * sigma), sigma
 
 
 def build_flow_map(
     measure,
     n_points: int = 257,
-    t_max: float | None = None,
     steps_per_unit: int = 100,
-    t_min: float = 1e-6,
-    t_split: float = 0.5,
     inputs: np.ndarray | None = None,
 ) -> FlowMap:
     """Transport map from gamma to a 1D measure by backward flow integration.
 
-    Starts at t_max (default max(3, log(W / 1e-4)), where W = sqrt(mean^2 +
-    var) + 1 >= W2(mu, gamma)) from the exact affine image of the inputs,
-    integrates dy/dt = v(t, y) down to t_min with steps_per_unit RK4 steps per
-    unit of u = e^{-t} above t_split (at least 32) and of sigma = sqrt(e^{2t} - 1)
-    below it (at least 16), and removes the final [0, t_min] leg by Richardson
-    extrapolation from t_min and t_min / 2 (2 steps in sigma).  At the defaults
-    that is 776 velocity batches, 268 at 25 steps per unit.
+    One RK4 leg in psi = 3 tan(theta / 3), theta = arccos e^{-t}, from sqrt(3)
+    (t = inf, y = inputs) to 0 in N = ceil(sqrt(3) steps_per_unit) + 20 equal steps.
+    Both ends are closed forms, so it takes 4N - 2 velocity batches, all at OU times
+    below -log sin(3h/8) for the step h: 774 at the defaults, 254 at 25 steps per
+    unit.  The inputs (default: n_points Gaussian quantiles) must be finite, 1D and
+    strictly increasing.
     """
     if getattr(measure, "dim", None) != 1:
         raise ValidationError("flow maps are built for 1D measures only")
+    n_points, steps_per_unit = check_integers("n_points, steps_per_unit", n_points,
+                                              steps_per_unit)
+    if not (n_points >= 2 and steps_per_unit >= 1):
+        raise ValidationError(f"need n_points >= 2 and steps_per_unit >= 1, got "
+                              f"{n_points} and {steps_per_unit}")
     if inputs is None:
         from scipy.special import ndtri
 
-        u = (np.arange(n_points) + 1.0) / (n_points + 1.0)
-        inputs = ndtri(u)
+        inputs = ndtri((np.arange(n_points) + 1.0) / (n_points + 1.0))
     else:
         inputs = np.asarray(inputs, dtype=float)
-        if np.any(np.diff(inputs) <= 0):
-            raise ValidationError("inputs must be strictly increasing")
-    mean, var = ms.mean_variance_1d(measure)
-    if t_max is None:  # triangle inequality through delta_0
-        t_max = max(3.0, math.log((math.hypot(mean, math.sqrt(var)) + 1.0) / 1e-4))
-    if not (0 < t_min < t_split < t_max and math.exp(-t_max) > 0):
-        raise ValidationError("need 0 < t_min < t_split < t_max and e^{-t_max} > 0")
+        if not (inputs.ndim == 1 and inputs.size >= 2 and np.all(np.isfinite(inputs))
+                and np.all(np.diff(inputs) > 0)):
+            raise ValidationError("inputs must be a finite, strictly increasing 1D array "
+                                  f"of at least 2 points, got shape {inputs.shape}")
+    mean = ms.mean_variance_1d(measure)[0]
+    evals, psi_last = 0, _PSI_MAX
 
-    e2 = math.exp(-2.0 * t_max)
-    m_T = mean * math.exp(-t_max)
-    s_T = math.sqrt(var * e2 + 1.0 - e2)
-    y = m_T + s_T * inputs
-
-    evals = 0
-
-    def vel(t, x):
-        nonlocal evals
+    def rhs(psi, y):  # dy/dpsi = tan(theta) v(t, y) dtheta/dpsi, dtheta/dpsi = 1/(1 + psi^2/9)
+        nonlocal evals, psi_last
+        psi_last = psi
+        if psi == _PSI_MAX:  # tan(theta) v = -mean, dtheta/dpsi = 3/4
+            return np.full_like(y, -0.75 * mean)
+        if psi == 0.0:
+            return np.zeros_like(y)
         evals += 1
+        t, sigma = _ou_time(psi)
         try:
-            return -(marginal_stats_1d(measure, t, x)[1] + x)
-        except ValidationError as err:  # a stage state that blew up is no input error
-            if not np.all(np.isfinite(x)):
-                raise NumericalError(f"non-finite RK4 stage state at t={t:.6g}") from None
-            if evals == 1:  # the first batch is at t_max, the widest OU scaling
-                raise _horizon_error("t_max", t_max) from err
-            raise
+            score = marginal_stats_1d(measure, t, y)[1]
+        except ValidationError:
+            if np.all(np.isfinite(y)):
+                raise
+            return y  # a stage state that blew up: rk4 rejects the step's end state
+        return -(score + y) * (sigma / (1.0 + psi * psi / 9.0))
 
-    def leg(name, t_hi, t_lo, *args):  # rk4 reports its own variable, u or sigma
-        try:
-            return rk4(*args)
-        except NumericalError as err:
-            raise NumericalError(f"flow map state blew up on leg {name}, between "
-                                 f"t={t_lo:.6g} and t={t_hi:.6g}") from err
-
-    # leg A: t_max -> t_split in u = e^{-t}, where dy/du = -v / u is smooth
-    u_max, u_split = math.exp(-t_max), math.exp(-t_split)
-    nA = max(32, int(math.ceil(steps_per_unit * (u_split - u_max))))
-    y = leg("A", t_max, t_split, lambda u, x: -vel(-math.log(u), x) / u, y, u_max, u_split, nA)
-
-    # legs B/C in sigma = sqrt(e^{2t} - 1), dy/dsigma = sigma v / (1 + sigma^2): the
-    # x-slope of v grows like 1/sigma as t -> 0, so this right-hand side stays Lipschitz
-    def vel_sigma(sigma, x):
-        s2 = sigma * sigma
-        return vel(0.5 * math.log1p(s2), x) * (sigma / (1.0 + s2))
-
-    sigma_split = math.sqrt(math.expm1(2.0 * t_split))
-    sigma_min = math.sqrt(math.expm1(2.0 * t_min))
-    sigma_half = math.sqrt(math.expm1(t_min))  # sigma at t_min / 2
-    nB = max(16, int(math.ceil(steps_per_unit * (sigma_split - sigma_min))))
-    y_tmin = leg("B", t_split, t_min, vel_sigma, y, sigma_split, sigma_min, nB)
-    y_half = leg("C", t_min, 0.5 * t_min, vel_sigma, y_tmin, sigma_min, sigma_half, 2)
-    images = 2.0 * y_half - y_tmin
+    n = math.ceil(_PSI_MAX * steps_per_unit) + 20
+    try:
+        images = rk4(rhs, inputs, _PSI_MAX, 0.0, n)
+    except NumericalError as err:  # raised after the step that ends at psi_last
+        psi_hi = psi_last + _PSI_MAX / n
+        t_hi = _ou_time(psi_hi)[0] if psi_hi < _PSI_MAX * (1.0 - 0.5 / n) else math.inf
+        raise NumericalError(f"flow map state blew up between t={_ou_time(psi_last)[0]:.6g} "
+                             f"and t={t_hi:.6g}") from err
 
     if np.any(np.diff(images) < -1e-10):
         k = int(np.argmin(np.diff(images)))
         raise NumericalError(
             f"flow map lost monotonicity between inputs {inputs[k]} and {inputs[k+1]}"
         )
-    images = np.maximum.accumulate(images)
-    return FlowMap(
-        t_max=float(t_max),
-        t_min=float(t_min),
-        inputs=inputs,
-        images=images,
-        steps_per_unit=steps_per_unit,
-        velocity_evals=evals,
-    )
+    return FlowMap(inputs=inputs, images=np.maximum.accumulate(images),
+                   steps_per_unit=steps_per_unit, velocity_evals=evals)
 
 
 def empirical_lipschitz(flow: FlowMap) -> LipschitzEstimate:
@@ -205,6 +178,7 @@ def pushforward_validate(
     flow: FlowMap, target, n_samples: int = 20000, seed: int = 0
 ) -> PushforwardReport:
     """Push Gaussian samples through the flow and compare with the target."""
+    n_samples, seed = check_integers("n_samples, seed", n_samples, seed)
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     if n_samples < 1:
@@ -245,12 +219,18 @@ def theta_envelope(
     and an exp(-2t) tail estimate beyond the last time.  Each time needs t > 0
     and e^{2t} max(1, x^2) finite on the space grid: t < 354.9 - log max(1, |x|).
     """
+    (n_times,) = check_integers("n_times", n_times)
+    if not (n_times >= 1 and t_end > 1e-6):
+        raise ValidationError(f"need n_times >= 1 and t_end > 1e-6 (the first time), got "
+                              f"{n_times} and {t_end!r}")
     if space_grid is None:
         mean, var = ms.mean_variance_1d(measure)
         half = 8.0 * math.sqrt(max(var, 1.0)) + abs(mean) + 1.0
         space_grid = np.linspace(-half, half, 401)
     else:
         space_grid = np.asarray(space_grid, dtype=float)
+        if space_grid.size == 0:
+            raise ValidationError("space_grid is empty")
     user_grid = time_grid is not None
     if user_grid:
         times = np.asarray(time_grid, dtype=float)
@@ -303,10 +283,7 @@ def reverse_sde_sample(
     """
     if not (t1 > 0 and math.exp(-t1) > 0):
         raise ValidationError(f"need 0 < t1 <= 745.1332191019411 (e^(-t1) > 0), got t1={t1!r}")
-    try:
-        n, steps, seed = operator.index(n), operator.index(steps), operator.index(seed)
-    except TypeError:
-        raise ValidationError(f"need integer n, steps, seed: {n!r}, {steps!r}, {seed!r}") from None
+    n, steps, seed = check_integers("n, steps, seed", n, steps, seed)
     if not (n >= 1 and steps >= 1 and seed >= 0):
         raise ValidationError("need n >= 1, steps >= 1, seed >= 0")
     rng = np.random.default_rng(seed)
@@ -326,7 +303,8 @@ def reverse_sde_sample(
         except ValidationError as err:
             if k:
                 raise
-            raise _horizon_error("t1", t1) from err  # the first step is at s = t1
+            raise ValidationError(f"horizon t1={t1!r} is too long for this target: its OU "
+                                  "marginal scales it by e^(-t1) out of the float range") from err
         y_prev, y = y, y + dt * (y + 2.0 * score) + sq * rng.standard_normal((n, d))
         if not np.all(np.isfinite(y)):
             bad = np.flatnonzero(~np.all(np.isfinite(y), axis=1))

@@ -117,6 +117,7 @@ class TestTransport:
         flow = np.loadtxt(rep["csv"], delimiter=",", skiprows=1)
         assert flow.shape == (65, 2)
         assert np.all(np.diff(flow[:, 1]) >= 0)
+        assert "t_max" not in rep  # the flow map has no horizon
 
 
 class TestCounterexample:
@@ -243,15 +244,32 @@ class TestInvalidArguments:
         ["hessian-scan", "--measure", "{mix}", "--t", "1", "--points", "-3"],
         ["mixture", "--measure", "{mix}", "--points", "0"],
         ["transport", "--measure", "{gauss}", "--points", "9", "--samples", "0"],
+        ["transport", "--measure", "{gauss}", "--points", "1", "--samples", "10"],
         ["decompose", "--coeffs", "0,0,x"],
     ], ids=["scan-points-0", "scan-points-neg", "mixture-points-0", "transport-samples-0",
-            "decompose-bad-coeff"])
+            "transport-points-1", "decompose-bad-coeff"])
     def test_exit_2(self, argv, tmp_path, capsys, mixture_file):
         gauss = tmp_path / "gauss.json"
         gauss.write_text(json.dumps({"type": "gaussian_mixture", "components": [[1, [0], 1]]}))
         argv = [a.format(mix=mixture_file, gauss=gauss) for a in argv] + ["--out", str(tmp_path)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--alpha", "1", "--t", "4"],
+        ["hessian-scan", "--measure", "m.json", "--t", "1"],
+        ["counterexample", "--t", "1", "--target-m", "5"],
+        ["two-atom", "--x0", "2", "--t", "1"],
+        ["decompose", "--coeffs", "0,0,1"],
+        ["mixture", "--measure", "m.json"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_only_where_read(self, argv, capsys):
+        # only transport and reverse-sde draw random numbers
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 64
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -284,7 +302,7 @@ class TestDeterminism:
         assert written[0] == written[1]
         assert "diagnostics" not in json.loads(written[0])
         if argv[0] == "transport":
-            expected = {"velocity_evals": 776, "steps_per_unit": 100}
+            expected = {"velocity_evals": 774, "steps_per_unit": 100}
         else:
             cert = variance_certificate(build_counterexample(lambda x: 0.0), 1.0, 5.0)
             expected = {"split_evals": cert.split_evals, "escalations": cert.escalations}

@@ -72,3 +72,12 @@ class TestOde:
     def test_blowup_reports_time(self):
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="t="):
             rk4(lambda t, y: y * y * 100.0, np.array([1.0]), 0.0, 2.0, 50)
+
+    @pytest.mark.parametrize("s0, s1, n", [(math.pi / 2, 0.0, 67), (math.sqrt(3.0), 0.0, 194),
+                                           (0.0, 1.0, 3)], ids=["half-pi", "sqrt3", "forward"])
+    def test_stages_hit_the_grid_ends(self, s0, s1, n):
+        # s0 + n h rounds away from s1 (to 6.2e-17 and -1.4e-17 in the first two
+        # cases); a right-hand side with a closed form at an end needs it exactly
+        calls = []
+        rk4(lambda s, y: calls.append(s) or 0.0 * y, np.array([1.0]), s0, s1, n)
+        assert calls[0] == s0 and calls[-1] == s1 and len(calls) == 4 * n

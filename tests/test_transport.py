@@ -41,6 +41,18 @@ def velocity(measure, t, x):
     return -ou_log_derivatives(measure, t, x)[1]
 
 
+def record_stage_times(monkeypatch):
+    """The OU times of the flow map's velocity batches, appended as they run."""
+    real, times = transport.marginal_stats_1d, []
+
+    def stats_1d(measure, t, xs):
+        times.append(t)
+        return real(measure, t, xs)
+
+    monkeypatch.setattr(transport, "marginal_stats_1d", stats_1d)
+    return times
+
+
 class TestVelocityField:
     def test_zero_for_standard_gaussian(self):
         g = standard_gaussian(1)
@@ -115,21 +127,61 @@ class TestBuildFlowMap:
         with pytest.raises(ValidationError):
             build_flow_map(standard_gaussian(1), inputs=np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValidationError):
-            build_flow_map(standard_gaussian(1), t_min=0.6, t_split=0.5)
+            build_flow_map(standard_gaussian(1), steps_per_unit=0)
 
-    @pytest.mark.parametrize("t_max", [800.0, math.inf])
-    def test_horizon_beyond_underflow_rejected(self, t_max):
-        # the long-time leg starts at u = e^{-t_max}, which must not be 0
-        with pytest.raises(ValidationError, match="t_max"):
-            build_flow_map(standard_gaussian(1), n_points=9, t_max=t_max)
+    @pytest.mark.parametrize("kwargs, pattern", [
+        ({"inputs": [0.0, math.nan, 1.0]}, "finite, strictly increasing"),
+        ({"inputs": [-math.inf, 0.0]}, "finite, strictly increasing"),
+        ({"inputs": [[0.0, 1.0], [2.0, 3.0]]}, r"shape \(2, 2\)"),
+        ({"inputs": [0.5]}, "at least 2 points"),
+        ({"n_points": 0}, "n_points >= 2"),
+        ({"n_points": 1}, "n_points >= 2"),
+        ({"n_points": 2.5}, "need integer n_points"),
+        ({"steps_per_unit": 0}, "steps_per_unit >= 1"),
+        ({"steps_per_unit": -5}, "steps_per_unit >= 1"),
+        ({"steps_per_unit": math.nan}, "need integer n_points, steps_per_unit"),
+    ], ids=["nan-input", "inf-input", "2d-inputs", "one-input", "n0", "n1", "n-fraction",
+            "spu0", "spu-5", "spu-nan"])
+    def test_bad_arguments(self, kwargs, pattern):
+        with pytest.raises(ValidationError, match=pattern):
+            build_flow_map(KINK, **kwargs)
+
+    @pytest.mark.parametrize("steps", [1, 25])
+    def test_stage_times_bounded(self, monkeypatch, steps):
+        # no horizon: the first stage is the midpoint of the first psi step, at
+        # t = -log cos(3 atan((sqrt(3) - h/2) / 3)) ~ -log sin(3h/8), h = sqrt(3) / N
+        times = record_stage_times(monkeypatch)
+        build_flow_map(KINK, n_points=9, steps_per_unit=steps)
+        n = math.ceil(math.sqrt(3.0) * steps) + 20
+        h = math.sqrt(3.0) / n
+        theta = 3.0 * math.atan((math.sqrt(3.0) - 0.5 * h) / 3.0)
+        assert max(times) == times[0] == pytest.approx(-math.log(math.cos(theta)), rel=1e-12)
+        assert max(times) < -math.log(math.sin(3.0 * h / 8.0))
+        assert max(times) < {1: 3.52, 25: 4.60}[steps]
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 25, 100])
+    def test_far_kink_builds_at_any_steps_per_unit(self, steps):
+        # e^{-x^2/2 + 40x - |x - 40|}: the kink sits at the mode, 40 from 0; no
+        # horizon or start depends on the target, so every step count builds,
+        # and the error falls with it (3.4e-4 at 1 step per unit, 3.1e-7 at 100)
+        far = make_perturbed(1.0, [], [-40.0], [40.0], [-1.0, 1.0])
+        err = flow_error(far, steps_per_unit=steps)
+        assert err <= {1: 3.5e-4, 2: 2.6e-4, 7: 8.4e-5, 25: 1.15e-5, 100: 3.3e-7}[steps]
+
+    @pytest.mark.parametrize("m", [0.0, 40.0, 1e3], ids=["m0", "m40", "m1000"])
+    def test_shifted_gaussian_translates(self, m):
+        # N(m, 1): the velocity is -m e^{-t}, so T(x) = x + m; the right-hand
+        # side in psi is exact at both ends  [DERIVED]
+        flow = build_flow_map(gaussian_1d(mean=m))
+        assert np.max(np.abs(flow.images - (flow.inputs + m))) <= 1e-11 * max(m, 1.0)
 
     @pytest.mark.parametrize("t_bad, pattern", [
-        (math.inf, r"leg A, between t=0\.5 and t=9\.90349"),  # inf from the first call
-        (0.3, r"leg B, between t=1e-06 and t=0\.5"),
-    ])
-    def test_blowup_names_leg_in_t(self, monkeypatch, t_bad, pattern):
-        # the legs integrate in u = e^{-t} and sigma = sqrt(e^{2t} - 1); the error
-        # names the time t, not the integration variable
+        (math.inf, r"^flow map state blew up between t=5\.00495 and t=inf$"),  # first step
+        (0.3, r"^flow map state blew up between t=0\.298542 and t=0\.306196$"),
+    ], ids=["first-step", "mid-leg"])
+    def test_blowup_names_step_in_t(self, monkeypatch, t_bad, pattern):
+        # the leg integrates in psi = 3 tan(theta / 3); the error names the failing
+        # step's bracket in the time t, not in psi
         real = transport.marginal_stats_1d
 
         def stats_1d(measure, t, xs):
@@ -144,9 +196,9 @@ class TestBuildFlowMap:
     def test_nonfinite_stage_state_is_numerical(self, monkeypatch):
         # an infinite velocity at the midpoint stages of one RK4 step makes
         # the next stage's state infinite; the kernel rejects that state as
-        # an input, and the flow map reports it as the blow-up on leg B
+        # an input, and the flow map reports it as the blow-up in that step, in t
         real = transport.marginal_stats_1d
-        t_mid = 0.2996540078  # a midpoint stage time of leg B (step 41 of 131) at the defaults
+        t_mid = 0.3023543357  # the midpoint stage time of step 110 of 194 at the defaults
 
         def stats_1d(measure, t, xs):
             if abs(t - t_mid) < 1e-9:
@@ -155,14 +207,9 @@ class TestBuildFlowMap:
 
         monkeypatch.setattr(transport, "marginal_stats_1d", stats_1d)
         with np.errstate(invalid="ignore"), pytest.raises(
-                NumericalError, match=r"leg B, between t=1e-06 and t=0\.5"):
+                NumericalError, match=r"between t=0\.298542 and t=0\.306196$") as err:
             build_flow_map(standard_gaussian(1), n_points=9)
-
-    def test_horizon_out_of_float_range_names_t_max(self):
-        # e^{-400} is positive, but the OU scaling of the kink overflows
-        with pytest.raises(ValidationError, match=r"horizon t_max=400\.0 is too long") as err:
-            build_flow_map(KINK, n_points=9, t_max=400.0)
-        assert "dilation by" in str(err.value.__cause__)
+        assert str(err.value.__cause__).startswith("ODE state blew up near t=0.7499")  # in psi
 
 
 def quantile_map(measure, xs):
@@ -203,6 +250,11 @@ class TestFlowMapAccuracy:
         ("kink", 25): 1.4891e-5, ("kink", 100): 5.3556e-7,
         ("mix", 25): 3.8602e-8, ("mix", 100): 1.7663e-9,
     }
+    # the same errors with one leg in psi = 3 tan(theta / 3), theta = arccos e^{-t}
+    PSI_REFERENCE = {
+        ("kink", 25): 7.8031e-6, ("kink", 100): 3.5672e-7,
+        ("mix", 25): 3.0223e-8, ("mix", 100): 3.6271e-10,
+    }
     # the errors at the defaults before legs B/C moved to sigma (400 steps per
     # unit, t_min = 1e-4, 3788 velocity batches)
     OLD_DEFAULT = {
@@ -229,6 +281,11 @@ class TestFlowMapAccuracy:
         measure = {"kink": KINK, "mix": MIX}[name]
         assert flow_error(measure, steps_per_unit=steps) <= 1.05 * self.SIGMA_REFERENCE[name, steps]
 
+    @pytest.mark.parametrize("name, steps", list(PSI_REFERENCE))
+    def test_psi_leg_error(self, name, steps):
+        measure = {"kink": KINK, "mix": MIX}[name]
+        assert flow_error(measure, steps_per_unit=steps) <= 1.05 * self.PSI_REFERENCE[name, steps]
+
     @pytest.mark.parametrize("name", list(OLD_DEFAULT))
     def test_defaults_beat_old_defaults(self, name):
         measure, old = self.OLD_DEFAULT[name]
@@ -237,28 +294,29 @@ class TestFlowMapAccuracy:
     @pytest.mark.parametrize("measure", [KINK, MIX, INTERIOR, gaussian_1d(mean=40.0)],
                              ids=["kink", "mix", "interior", "N(40,1)"])
     def test_velocity_batch_counts(self, measure):
-        # 4 RK4 stages per step: leg A 32 and 61 steps (the floor of 32, then
-        # ceil(100 (e^{-1/2} - e^{-t_max}))), leg B 33 and 131, leg C 2
-        assert build_flow_map(measure, n_points=9, steps_per_unit=25).velocity_evals == 268
-        assert build_flow_map(measure, n_points=9).velocity_evals == 776
+        # 4 RK4 stages per step, N = ceil(sqrt(3) steps_per_unit) + 20 steps (64 and
+        # 194), less the closed-form first and last stages; the same for every target
+        assert build_flow_map(measure, n_points=9, steps_per_unit=25).velocity_evals == 254
+        assert build_flow_map(measure, n_points=9).velocity_evals == 774
 
-    def test_narrow_components_warning_free(self):
+    def test_narrow_components_warning_free(self, monkeypatch):
         # variances 1e-3 and 2e-3 give the largest velocity slopes at the last
-        # stage, t_min / 2 = 5e-7; none of its batches may warn
+        # stage, the midpoint of the last psi step, t = 9.96e-6 (the end, t = 0,
+        # is a closed form); none of its batches may warn
         narrow = make_gaussian_mixture([(0.5, [-1.0], 1e-3), (0.5, [1.0], 2e-3)])
+        times = record_stage_times(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             flow = build_flow_map(narrow)
-        assert flow.t_min / 2 == 5e-7
+        assert min(times) == times[-1] == pytest.approx(9.963882770e-6, rel=1e-9)
         assert np.all(np.isfinite(flow.images)) and np.all(np.diff(flow.images) >= 0)
 
     def test_far_shifted_gaussian(self):
-        # N(40, 1) starts from a later horizon than N(0, 1), but the long-time
-        # leg's step count follows the range of u = e^{-t}, not of t
+        # N(40, 1) takes as many velocity batches as N(0, 1): neither the step
+        # count nor the range of t depends on the target's moments
         near = build_flow_map(standard_gaussian(1), n_points=65)
         far = build_flow_map(gaussian_1d(mean=40.0), n_points=65)
         assert np.max(np.abs(far.images - (far.inputs + 40.0))) < 1e-5
-        assert far.t_max > near.t_max + 2.0
         assert near.velocity_evals == far.velocity_evals
         assert build_flow_map(KINK, steps_per_unit=25).velocity_evals <= 400
 
@@ -276,6 +334,24 @@ class TestPushforward:
         flow = build_flow_map(g, n_points=257)
         rep = pushforward_validate(flow, g)
         assert rep.ks_stat < 0.02
+
+
+@pytest.mark.parametrize("call, pattern", [
+    (lambda: sample(MIX, 2.5), "need integer n, seed: 2.5, 0"),
+    (lambda: sample(MIX, 3, seed=2.5), "need integer n, seed: 3, 2.5"),
+    (lambda: pushforward_validate(build_flow_map(MIX, n_points=9), MIX, n_samples=100.5),
+     "need integer n_samples, seed: 100.5, 0"),
+    (lambda: pushforward_validate(build_flow_map(MIX, n_points=9), MIX, seed=2.5),
+     "need integer n_samples, seed"),
+    (lambda: theta_envelope(MIX, n_times=0), "n_times >= 1"),
+    (lambda: theta_envelope(MIX, t_end=-1.0), r"t_end > 1e-6 .*got 800 and -1\.0"),
+    (lambda: theta_envelope(MIX, space_grid=[]), "space_grid is empty"),
+], ids=["sample-n", "sample-seed", "push-n", "push-seed", "theta-n_times", "theta-t_end",
+        "theta-space"])
+def test_argument_errors_are_validation(call, pattern):
+    # each was a raw TypeError, IndexError or ValueError from numpy or math
+    with pytest.raises(ValidationError, match=pattern):
+        call()
 
 
 class TestThetaEnvelope:
