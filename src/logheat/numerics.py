@@ -65,5 +65,5 @@ def rk4(f, y: np.ndarray, s0: float, s1: float, n: int) -> np.ndarray:
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             bad = int(np.argmax(~np.isfinite(y)))
-            raise NumericalError(f"ODE state blew up near t={times[k+1]} (point {bad})")
+            raise NumericalError(f"ODE state blew up near s={times[k+1]} (point {bad})")
     return y

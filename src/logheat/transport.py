@@ -8,7 +8,9 @@ dy/dtheta = tan(theta) v is smooth on [0, pi/2], -mean at t = inf and 0 at t = 0
 so one RK4 leg in psi = 3 tan(theta / 3) covers the whole range with no horizon
 and no start fitted to the target.  Near t = 0, psi is close to
 sigma = sqrt(e^{2t} - 1), in which the velocity of a log-Lipschitz perturbation
-(its x-slope grows like 1/sigma) keeps RK4 at fourth order.
+(its x-slope grows like 1/sigma) keeps RK4 at fourth order.  The same clock carries
+the theta envelope's time integral: dt/dpsi = sigma / (1 + psi^2/9) turns the
+1/sqrt(t) head and the e^{-2t} tail into a bounded integrand on [0, sqrt(3)].
 """
 from __future__ import annotations
 
@@ -61,7 +63,8 @@ class FlowMap:
 
 @dataclass(frozen=True)
 class ThetaEnvelope:
-    """Per-time spatial extremes of the OU relative-density log-Hessian."""
+    """Per-time spatial extremes of the OU relative-density log-Hessian, and the
+    time integral of the maximum: a quadrature estimate, not an upper bound."""
 
     times: np.ndarray
     theta_min: np.ndarray
@@ -208,21 +211,17 @@ def theta_envelope(
     measure,
     time_grid: np.ndarray | None = None,
     space_grid: np.ndarray | None = None,
-    t_end: float = 6.0,
-    n_times: int = 800,
 ) -> ThetaEnvelope:
     """Spatial extremes of the log-Hessian of Q_t(d mu/d gamma) over time.
 
-    integral_theta_max integrates the per-time max: with a user time_grid, a
-    plain trapezoid over the grid; otherwise a trapezoid in u = sqrt(t)
-    (the max can grow like 1/sqrt(t) near 0), plus a short-time correction
-    and an exp(-2t) tail estimate beyond the last time.  Each time needs t > 0
-    and e^{2t} max(1, x^2) finite on the space grid: t < 354.9 - log max(1, |x|).
+    The default times are the 48 Gauss-Legendre nodes in the flow map's clock psi on
+    (0, sqrt(3)), where theta_max dt/dpsi = theta_max sigma / (1 + psi^2/9) is
+    bounded, and integral_theta_max is the rule's weighted sum.  A user time_grid
+    (non-empty, strictly increasing, 1D) takes the trapezoid in t.  Either way the
+    integral is a quadrature estimate, not an upper bound: on e^{-x^2/2-|x|} its exp
+    is 0.987, below Lip(T) = 1.  Each time needs t > 0 and e^{2t} max(1, x^2) finite
+    on the space grid: t < 354.9 - log max(1, |x|).
     """
-    (n_times,) = check_integers("n_times", n_times)
-    if not (n_times >= 1 and t_end > 1e-6):
-        raise ValidationError(f"need n_times >= 1 and t_end > 1e-6 (the first time), got "
-                              f"{n_times} and {t_end!r}")
     if space_grid is None:
         mean, var = ms.mean_variance_1d(measure)
         half = 8.0 * math.sqrt(max(var, 1.0)) + abs(mean) + 1.0
@@ -231,12 +230,18 @@ def theta_envelope(
         space_grid = np.asarray(space_grid, dtype=float)
         if space_grid.size == 0:
             raise ValidationError("space_grid is empty")
-    user_grid = time_grid is not None
-    if user_grid:
-        times = np.asarray(time_grid, dtype=float)
+    if time_grid is None:
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(48)
+        psi = 0.5 * _PSI_MAX * (nodes + 1.0)
+        times, sigma = np.array([_ou_time(p) for p in psi]).T
+        weights *= 0.5 * _PSI_MAX * sigma / (1.0 + psi * psi / 9.0)
     else:
-        u = np.linspace(math.sqrt(1e-6), math.sqrt(t_end), n_times)
-        times = u * u
+        times = np.asarray(time_grid, dtype=float)
+        if not (times.ndim == 1 and times.size >= 1 and np.all(np.diff(times) > 0)):
+            raise ValidationError("time_grid must be a non-empty, strictly increasing 1D "
+                                  f"array, got shape {times.shape}")
 
     # mu_t(x) = e^t (mu * gamma_tau)(e^t x), tau = e^{2t} - 1, so theta = (Var_tau(e^t x)
     # / tau - 1) / (1 - e^{-2t}) + 1; one _tilt call per block of whole time rows
@@ -257,18 +262,10 @@ def theta_envelope(
         th_min[blk] = np.min(theta, axis=1)
         th_max[blk] = np.max(theta, axis=1)
 
-    if user_grid:
-        integral = float(np.trapezoid(th_max, times))
-    else:
-        integral = float(np.trapezoid(th_max * 2.0 * u, u))
-        # head: theta_max ~ C / sqrt(t) at worst, so the [0, t0] piece is
-        # at most 2 * theta_max(t0) * t0
-        integral += 2.0 * max(th_max[0], 0.0) * times[0]
-        # tail: theta decays like e^{-2t}, so the remainder is theta(T)/2
-        integral += max(th_max[-1], 0.0) / 2.0
+    integral = weights @ th_max if time_grid is None else np.trapezoid(th_max, times)
     return ThetaEnvelope(
         times=times, theta_min=th_min, theta_max=th_max,
-        integral_theta_max=integral,
+        integral_theta_max=float(integral),
     )
 
 

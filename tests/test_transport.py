@@ -17,6 +17,7 @@ from logheat import (
     cdf_1d,
     dilate,
     empirical_lipschitz,
+    log_density,
     make_gaussian_mixture,
     make_perturbed,
     ou_log_derivatives,
@@ -209,7 +210,7 @@ class TestBuildFlowMap:
         with np.errstate(invalid="ignore"), pytest.raises(
                 NumericalError, match=r"between t=0\.298542 and t=0\.306196$") as err:
             build_flow_map(standard_gaussian(1), n_points=9)
-        assert str(err.value.__cause__).startswith("ODE state blew up near t=0.7499")  # in psi
+        assert str(err.value.__cause__).startswith("ODE state blew up near s=0.7499")  # in psi
 
 
 def quantile_map(measure, xs):
@@ -225,6 +226,7 @@ def quantile_map(measure, xs):
 
 
 KINK = make_perturbed(1.0, [], [0.0], [0.0], [-1.0, 1.0])
+SHARP = make_perturbed(1.0, [], [0.0], [0.0], [0.8, -0.8])
 MIX = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 1.0)])
 INTERIOR = make_perturbed(1, [-1, 1], [-0.5, 0, 0.5], [0, 2], [-1, 1, 0])
 
@@ -343,33 +345,35 @@ class TestPushforward:
      "need integer n_samples, seed: 100.5, 0"),
     (lambda: pushforward_validate(build_flow_map(MIX, n_points=9), MIX, seed=2.5),
      "need integer n_samples, seed"),
-    (lambda: theta_envelope(MIX, n_times=0), "n_times >= 1"),
-    (lambda: theta_envelope(MIX, t_end=-1.0), r"t_end > 1e-6 .*got 800 and -1\.0"),
     (lambda: theta_envelope(MIX, space_grid=[]), "space_grid is empty"),
-], ids=["sample-n", "sample-seed", "push-n", "push-seed", "theta-n_times", "theta-t_end",
-        "theta-space"])
+    (lambda: theta_envelope(MIX, time_grid=[2.0, 0.5]), r"strictly increasing .*shape \(2,\)"),
+    (lambda: theta_envelope(MIX, time_grid=[]), r"non-empty.*shape \(0,\)"),
+    (lambda: theta_envelope(MIX, time_grid=[[0.5, 1.0]]), r"1D array, got shape \(1, 2\)"),
+], ids=["sample-n", "sample-seed", "push-n", "push-seed", "theta-space", "theta-time-order",
+        "theta-time-empty", "theta-time-2d"])
 def test_argument_errors_are_validation(call, pattern):
-    # each was a raw TypeError, IndexError or ValueError from numpy or math
+    # each was a raw TypeError, IndexError or ValueError from numpy or math, or (a
+    # decreasing or empty time grid) a silently sign-flipped or zero integral
     with pytest.raises(ValidationError, match=pattern):
         call()
 
 
 class TestThetaEnvelope:
     def test_gaussian_theta_zero(self):
-        env = theta_envelope(standard_gaussian(1), n_times=100)
+        env = theta_envelope(standard_gaussian(1))
         assert np.max(np.abs(env.theta_max)) < 1e-10
         assert abs(env.integral_theta_max) < 1e-9
 
     def test_dilation_integral_log_sigma(self):
         # N(0, sigma^2): theta(t) = (sigma^2-1) e^{-2t} / (1 + (sigma^2-1)e^{-2t}),
         # integral over (0, inf) = log sigma  [DERIVED]
-        sigma = 2.0
-        env = theta_envelope(gaussian_1d(var=sigma * sigma))
-        assert env.integral_theta_max == pytest.approx(math.log(sigma), abs=1e-5)
-        assert np.all(env.theta_min <= env.theta_max + 1e-15)
+        for sigma in (0.1, 0.5, 2.0, 10.0):
+            env = theta_envelope(gaussian_1d(var=sigma * sigma))
+            assert abs(env.integral_theta_max - math.log(sigma)) <= 1e-12
+            assert np.all(env.theta_min <= env.theta_max + 1e-15)
 
     def test_contraction_negative_theta(self):
-        env = theta_envelope(gaussian_1d(var=0.25), n_times=200)
+        env = theta_envelope(gaussian_1d(var=0.25))
         assert np.all(env.theta_max <= 1e-12)
         assert env.integral_theta_max == pytest.approx(math.log(0.5), abs=1e-4)
 
@@ -383,10 +387,28 @@ class TestThetaEnvelope:
     def test_log_concave_target_nonpositive(self):
         # 1-log-concave targets stay 1-log-concave along the flow
         pm = make_perturbed(1.0, [], [0.0], [0.0], [-1.0, 1.0])
-        env = theta_envelope(pm, n_times=60)
+        env = theta_envelope(pm)
         # quadrature noise from the potential kink dominates below t ~ 1e-4
         assert np.all(env.theta_max <= 1e-3)
         assert np.all(env.theta_max[env.times > 1e-3] <= 1e-8)
+
+    @pytest.mark.parametrize("measure", [SHARP, KINK], ids=["sharp", "kink"])
+    def test_slope_at_origin(self, measure):
+        # both targets are even, so T(0) = 0 and the flow keeps x = 0 fixed: theta
+        # integrates along it to log T'(0) = log(phi(0) / p(0))  [DERIVED]
+        env = theta_envelope(measure, space_grid=[0.0])
+        exact = math.exp(-0.5 * math.log(2.0 * math.pi) - log_density(measure, [[0.0]])[0])
+        assert math.exp(env.integral_theta_max) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("measure", [KINK, MIX, SHARP], ids=["kink", "mix", "sharp"])
+    def test_default_rule_matches_128_nodes(self, measure):
+        # the same psi integral by a 128-node Gauss-Legendre rule, formed here
+        nodes, weights = np.polynomial.legendre.leggauss(128)
+        psi = 0.5 * math.sqrt(3.0) * (nodes + 1.0)
+        times, sigma = np.array([transport._ou_time(p) for p in psi]).T
+        fine = theta_envelope(measure, time_grid=times)
+        reference = 0.5 * math.sqrt(3.0) * weights @ (fine.theta_max * sigma / (1 + psi**2 / 9))
+        assert abs(theta_envelope(measure).integral_theta_max - reference) <= 1e-12
 
 
 def theta_rows_per_time(measure, times, space):
@@ -484,7 +506,7 @@ class TestThetaFromHeatTilts:
 
     def test_two_dimensional_measure(self):
         with pytest.raises(CapabilityError):
-            theta_envelope(standard_gaussian(2), n_times=5)
+            theta_envelope(standard_gaussian(2))
         with pytest.raises(ValidationError):
             theta_envelope(standard_gaussian(2), time_grid=[0.5],
                            space_grid=np.linspace(-3.0, 3.0, 7))
