@@ -32,16 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PerturbationParams:
-    """(alpha, L, R, K, beta) bundle for the perturbation-regime formulas."""
+    """(alpha, L, K) bundle for the transport-constant formulas."""
 
     alpha: float
     lip: float = 0.0
-    radius: float = 0.0
     third_deriv: float = 0.0
-    beta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("lip", "radius", "third_deriv", "beta"):
+        for name in ("lip", "third_deriv"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
 

@@ -17,7 +17,6 @@ from .errors import (
     BracketError,
     CapabilityError,
     DomainError,
-    LogheatError,
     NumericalError,
     PreconditionError,
     SearchError,
@@ -32,6 +31,7 @@ from .measures import (
 )
 from .structure import Infeasible, analyze_mixture_1d, lemma4_decompose
 from .transport import (
+    _ks_stat,
     build_flow_map,
     empirical_lipschitz,
     pushforward_validate,
@@ -141,11 +141,8 @@ def _cmd_bounds(args) -> int:
     if args.alpha > 0:
         report["t_star"] = bd.log_concavity_time(args.alpha, args.lip)
         report["integrated_ou_upper"] = bd.integrated_ou_upper(args.alpha, args.lip)
-        params = bd.PerturbationParams(
-            alpha=args.alpha, lip=args.lip, radius=args.radius,
-            third_deriv=args.third_deriv,
-        )
-        consts = bd.transport_constants(params)
+        consts = bd.transport_constants(bd.PerturbationParams(
+            alpha=args.alpha, lip=args.lip, third_deriv=args.third_deriv))
         report.update(consts)
         report["lsi_transferred"] = bd.lsi_transfer(args.lsi_c, consts["thm3"])
     if args.radius > 0:
@@ -216,8 +213,6 @@ def _cmd_transport(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    if args.psi not in _PSI_FUNCTIONS:
-        raise ValidationError(f"unknown psi '{args.psi}'")
     psi = _PSI_FUNCTIONS[args.psi](args.coefficient)
     measure = build_counterexample(psi, truncation=args.truncation)
     cert = variance_certificate(measure, args.t, args.target_m)
@@ -330,13 +325,7 @@ def _cmd_reverse_sde(args) -> int:
         "sample_var": float(np.var(samples)),
     }
     if measure.dim == 1:
-        y = np.sort(samples[:, 0])
-        cdf = ms.cdf_1d(measure, y)
-        n = y.size
-        report["ks_stat"] = float(
-            max(np.max(np.arange(1, n + 1) / n - cdf),
-                np.max(cdf - np.arange(0, n) / n))
-        )
+        report["ks_stat"] = _ks_stat(measure, np.sort(samples[:, 0]))
     _emit(report, args.out, "reverse_sde.json")
     return 0
 

@@ -102,26 +102,24 @@ def split_function_F(measure: CounterexampleMeasure, t: float, j: int, z: float)
 
 def _split_tilt(measure: CounterexampleMeasure, t: float, j: int) -> tuple[float, float, int]:
     """The split tilt z* of gap j by safeguarded Newton on g of ``_split``, g(z*),
-    and the number of split-kernel calls made."""
+    and the number of split-kernel calls made.
+
+    [0, z_cap], z_cap = x_j + t (psi_j + 4 log(j + 1)) / j, is a proved bracket:
+    w_i / w_k = (k + 1)^2 / (i + 1)^2 e^{psi_k - psi_i}, and psi is checked
+    nonnegative and nondecreasing on the atoms.  At z = 0, w_i / w_0 <= (i + 1)^-2
+    and the kernel is largest at x_0 = 0, so g(0) >= -log(pi^2/6 - 1) > 0.43.  At
+    z_cap each atom below j is at least j further away than x_j, and w_i / w_j <=
+    (j + 1)^2 / (i + 1)^2 e^{psi_j}, so g(z_cap) <= log(pi^2/6) - 2 log(j + 1)
+    - j^2/(2t) < -0.88.  ``find_root``'s BracketError stays the guard."""
     values: dict[float, tuple[float, float]] = {}
 
     def f(z: float) -> tuple[float, float]:
-        if z not in values:  # find_root re-reads the bracket ends checked here
+        if z not in values:  # find_root may end on a z it has evaluated
             values[z] = _split(measure, t, j, z)
         return values[z]
 
-    x_j = float(measure.locations[j])
-    z_cap = x_j + t * (float(measure.psi_values[j]) + 4.0 * math.log(j + 1.0)) / j
-    if f(0.0)[0] < 0.0:
-        raise SearchError(f"split function already negative at z = 0: log-mass split "
-                          f"{f(0.0)[0]:.3e} at j = {j}, t = {t}")
-    grow = 0
-    while f(z_cap)[0] >= 0.0:
-        grow += 1
-        if grow > 8:
-            raise SearchError(f"no sign change of the split function below z = {z_cap}: "
-                              f"log-mass split {f(z_cap)[0]:.3e} at j = {j}, t = {t}")
-        z_cap = x_j + 2.0**grow * (z_cap - x_j)
+    z_cap = float(measure.locations[j]) + t * (float(measure.psi_values[j])
+                                               + 4.0 * math.log(j + 1.0)) / j
     z_star = find_root(f, 0.0, z_cap, tol=1e-12)
     return z_star, f(z_star)[0], len(values)
 

@@ -149,16 +149,12 @@ def wasserstein2_1d(mu, nu) -> float:
         if getattr(m, "dim", None) != 1:
             raise CapabilityError("wasserstein2_1d supports 1D measures only")
     if isinstance(mu, ms._Atoms) and isinstance(nu, ms._Atoms):
-        x1, w1 = mu._sorted_1d()
-        x2, w2 = nu._sorted_1d()
-        cuts = np.unique(np.concatenate([np.cumsum(w1), np.cumsum(w2), [0.0, 1.0]]))
+        # both quantiles are constant between merged cumulative weights: midpoints are exact
+        cuts = np.unique(np.concatenate([np.cumsum(mu._sorted_1d()[1]),
+                                         np.cumsum(nu._sorted_1d()[1]), [0.0, 1.0]]))
         cuts = np.clip(cuts, 0.0, 1.0)
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        seg = np.diff(cuts)
-        q1 = x1[np.minimum(np.searchsorted(np.cumsum(w1), mids), x1.size - 1)]
-        q2 = x2[np.minimum(np.searchsorted(np.cumsum(w2), mids), x2.size - 1)]
-        return float(np.sqrt(np.sum(seg * (q1 - q2) ** 2)))
-    if (
+        u, w = 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
+    elif (
         isinstance(mu, ms.GaussianMixture)
         and isinstance(nu, ms.GaussianMixture)
         and mu.weights.size == 1
@@ -167,9 +163,9 @@ def wasserstein2_1d(mu, nu) -> float:
         dm = float(mu.means[0, 0] - nu.means[0, 0])
         ds = math.sqrt(float(mu.variances[0])) - math.sqrt(float(nu.variances[0]))
         return math.hypot(dm, ds)
-    nodes, weights = np.polynomial.legendre.leggauss(512)
-    u = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    else:
+        nodes, weights = np.polynomial.legendre.leggauss(512)
+        u, w = 0.5 * (nodes + 1.0), 0.5 * weights
     q1 = ms.quantile_1d(mu, u)
     q2 = ms.quantile_1d(nu, u)
     return float(np.sqrt(np.sum(w * (q1 - q2) ** 2)))

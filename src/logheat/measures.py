@@ -219,16 +219,23 @@ def _mixture_posterior(mu: GaussianMixture, xs: np.ndarray):
     """Component logits log(w_k N(x; m_k, v_k I)) (k, n), posterior
     responsibilities (k, n), component scores -(x - m_k)/v_k (k, d, n) and
     the log-density (n,), at each row x of xs; the component axis leads, so
-    each reduction over it adds whole rows (see ``_logsumexp``).  Variances: (k,) or (k, n)."""
+    each reduction over it adds whole rows (see ``_logsumexp``).  Variances: (k,) or (k, n).
+    A logit that overflows is a weight of 0; a point where all do raises NumericalError."""
     v = mu.variances.reshape(mu.weights.size, -1)
     dm = mu.means[:, :, None] - xs.T[None, :, :]
-    logits = (
-        np.log(mu.weights)[:, None] - 0.5 * mu.dim * (_LOG_2PI + np.log(v))
-    ) - 0.5 * np.sum(dm * dm, axis=1) / v
+    with np.errstate(over="ignore"):
+        logits = (
+            np.log(mu.weights)[:, None] - 0.5 * mu.dim * (_LOG_2PI + np.log(v))
+        ) - 0.5 * np.sum(dm * dm, axis=1) / v
     # normalized by their sum, not by the log-sum-exp: with logits of 1e107,
     # adding log 2 changes nothing, and the responsibilities would sum to 2
     m = np.max(logits, axis=0)
-    m = np.where(np.isfinite(m), m, 0.0)
+    finite = np.isfinite(m)  # -inf where every logit overflowed
+    if not finite.all():
+        j = int(np.argmin(finite))
+        dist = float(np.min(np.hypot.reduce(np.abs(dm[:, :, j]), axis=1)))
+        raise NumericalError(f"mixture logits overflow at x={xs[j].tolist()}: |x - m|^2 / (2v) "
+                             f"is not finite for any component, nearest |x - m| = {dist:.6g}")
     e = np.exp(logits - m)
     total = np.sum(e, axis=0)
     return logits, e / total, dm / v[:, None], np.log(total) + m
@@ -253,11 +260,11 @@ def _with_fields(obj, **fields):
     return out
 
 
-def _quantile_grid(measure, u: np.ndarray, n_grid: int = 8001) -> np.ndarray:
-    """Inverse CDF at u, interpolated in a monotone (cdf, x) table of a 1D density."""
+def _quantile_grid(measure, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF at u, interpolated in a monotone 8001-point (cdf, x) table of a 1D density."""
     mean, var = mean_variance_1d(measure)
     half = 10.0 * math.sqrt(var) + 1.0
-    xs = np.linspace(mean - half, mean + half, n_grid)
+    xs = np.linspace(mean - half, mean + half, 8001)
     cdf = np.maximum.accumulate(cdf_1d(measure, xs))
     return np.interp(u, cdf, xs)
 
@@ -435,6 +442,8 @@ class AtomicMeasure(_Atoms):
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         x = np.atleast_2d(np.asarray(self.locations, dtype=float))
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(x))):
+            raise ValidationError("atom weights and locations must be finite")
         if np.any(w <= 0):
             raise ValidationError("atom weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
@@ -649,6 +658,8 @@ def make_gaussian_mixture(components: Sequence[tuple], dim: int | None = None) -
         vs.append(float(v))
     if dim is None:
         dim = ms[0].size
+    if any(m.size != dim for m in ms):
+        raise ValidationError(f"every mean needs dim = {dim!r} coordinates")
     merged: dict[tuple, float] = {}
     for w, m, v in zip(ws, ms, vs):
         if not (0 < w < math.inf and 0 < v < math.inf):
@@ -780,34 +791,42 @@ def _json_entries(obj: dict, key: str, fields: str) -> list:
 
 
 def measure_from_json(obj: dict):
-    """Measure JSON schema used by the CLI (weights may be unnormalized)."""
+    """Measure JSON schema used by the CLI (weights may be unnormalized).  A missing
+    field, or one that does not convert to the numbers it holds, is a ValidationError."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError("measure JSON needs a 'type' field")
     kind = obj["type"]
-    if kind == "gaussian_mixture":
-        comps = _json_entries(obj, "components", "weight, mean, variance")
-        return make_gaussian_mixture(comps, dim=obj.get("dim"))
-    if kind == "atomic":
-        atoms = _json_entries(obj, "atoms", "weight, location")
-        w = np.array([a[0] for a in atoms], dtype=float)
-        locs = np.atleast_2d(np.array([np.atleast_1d(a[1]) for a in atoms], dtype=float))
-        w = w / np.sum(w)
-        return AtomicMeasure(dim=obj.get("dim", locs.shape[1]), weights=w, locations=locs)
-    if kind == "perturbed_1d":
-        return make_perturbed(
-            alpha=obj["alpha"],
-            v_knots=obj.get("v_knots", ()),
-            v_slopes=obj.get("v_slopes", (0.0,)),
-            h_knots=obj.get("h_knots", ()),
-            h_slopes=obj.get("h_slopes", (0.0,)),
-            lip=obj.get("lip"),
-        )
-    if kind == "counterexample":
-        name = obj.get("psi", "zero")
-        if name not in _PSI_FUNCTIONS:
-            raise ValidationError(f"unknown psi '{name}'")
-        psi = _PSI_FUNCTIONS[name](float(obj.get("coefficient", 1.0)))
-        from .counterexample import build_counterexample
+    try:
+        if kind == "gaussian_mixture":
+            comps = _json_entries(obj, "components", "weight, mean, variance")
+            return make_gaussian_mixture(comps, dim=obj.get("dim"))
+        if kind == "atomic":
+            atoms = _json_entries(obj, "atoms", "weight, location")
+            w = np.array([a[0] for a in atoms], dtype=float)
+            locs = np.atleast_2d(np.array([np.atleast_1d(a[1]) for a in atoms], dtype=float))
+            if not np.all((w > 0) & (w < math.inf)):
+                raise ValidationError("atom weights must be positive and finite")
+            w = w / np.sum(w)
+            return AtomicMeasure(dim=obj.get("dim", locs.shape[1]), weights=w, locations=locs)
+        if kind == "perturbed_1d":
+            return make_perturbed(
+                alpha=obj["alpha"],
+                v_knots=obj.get("v_knots", ()),
+                v_slopes=obj.get("v_slopes", (0.0,)),
+                h_knots=obj.get("h_knots", ()),
+                h_slopes=obj.get("h_slopes", (0.0,)),
+                lip=obj.get("lip"),
+            )
+        if kind == "counterexample":
+            name = obj.get("psi", "zero")
+            if name not in _PSI_FUNCTIONS:
+                raise ValidationError(f"unknown psi '{name}'")
+            psi = _PSI_FUNCTIONS[name](float(obj.get("coefficient", 1.0)))
+            from .counterexample import build_counterexample
 
-        return build_counterexample(psi, truncation=int(obj.get("truncation", 60)))
+            return build_counterexample(psi, truncation=int(obj.get("truncation", 60)))
+    except KeyError as exc:
+        raise ValidationError(f"{kind!r} measure JSON needs the field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{kind!r} measure JSON has a malformed field: {exc}") from None
     raise ValidationError(f"unknown measure type '{kind}'")

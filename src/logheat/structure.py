@@ -75,21 +75,18 @@ def lemma4_decompose(
     beta: float,
     radius: float,
     grid_halfwidth: float = 10.0,
-    grid_step: float = 0.02,
 ) -> Decomposition:
     """Split U into an alpha-convex part V and a Lipschitz part H.
 
     The hypotheses U'' >= alpha for |x| >= radius and U'' >= -beta for
-    |x| < radius are verified by central differences on a uniform grid over
+    |x| < radius are verified by central differences on a grid of step 0.02 over
     [-radius - grid_halfwidth, radius + grid_halfwidth]; the first violation
     raises PreconditionError naming the point, a non-finite U NumericalError.
     """
     if beta < 0 or radius < 0:
         raise ValidationError("beta and radius must be nonnegative")
-    if not grid_step > 0:
-        raise ValidationError("grid_step must be positive")
     half = radius + grid_halfwidth
-    n = int(np.ceil(2.0 * half / grid_step)) + 1
+    n = int(np.ceil(2.0 * half / 0.02)) + 1
     grid = np.linspace(-half, half, n)
     h, tol = 1e-4, 1e-6
     vals = np.array([U(x) for x in np.concatenate([grid - h, grid, grid + h]).tolist()],

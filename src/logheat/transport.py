@@ -187,24 +187,20 @@ def pushforward_validate(
     if n_samples < 1:
         raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n_samples)
-    y = np.sort(flow(x))
-    cdf = ms.cdf_1d(target, y)
-    n = n_samples
-    ks = float(
-        max(
-            np.max(np.arange(1, n + 1) / n - cdf),
-            np.max(cdf - np.arange(0, n) / n),
-        )
-    )
+    y = np.sort(flow(rng.standard_normal(n_samples)))
     mean, var = ms.mean_variance_1d(target)
-    emp_mean = float(np.mean(y))
-    emp_var = float(np.var(y))
     return PushforwardReport(
-        ks_stat=ks,
-        mean_error=abs(emp_mean - mean),
-        var_error=abs(emp_var - var),
+        ks_stat=_ks_stat(target, y),
+        mean_error=abs(float(np.mean(y)) - mean),
+        var_error=abs(float(np.var(y)) - var),
     )
+
+
+def _ks_stat(measure, y: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance between the sorted 1D sample y and the measure's CDF."""
+    cdf = ms.cdf_1d(measure, y)
+    n = y.size
+    return float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(0, n) / n)))
 
 
 def theta_envelope(

@@ -104,6 +104,26 @@ class TestHessianScan:
         assert main(["hessian-scan", "--measure", str(path), "--t", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"type": "atomic", "atoms": [[1, [0, 1]], [1, [2]]]}, "malformed field: setting an array"),
+        ({"type": "atomic", "atoms": [[1, "a"], [1, 2]]}, "malformed field: could not convert"),
+        ({"type": "perturbed_1d", "alpha": "x"}, "malformed field: could not convert"),
+        ({"type": "perturbed_1d"}, "needs the field 'alpha'"),
+        ({"type": "gaussian_mixture", "dim": 2, "components": [[1, 0, 1], [1, 2, 1]]},
+         "every mean needs dim = 2 coordinates"),
+        ({"type": "counterexample", "truncation": "abc"}, "malformed field: invalid literal"),
+        ({"type": "atomic", "atoms": [[math.nan, 0], [1, 2]]}, "must be positive and finite"),
+        ({"type": "atomic", "atoms": [[0, 0], [1, 2]]}, "must be positive and finite"),
+        ({"type": "atomic", "atoms": [[1, math.inf], [1, 2]]}, "locations must be finite"),
+    ], ids=["ragged-location", "string-location", "string-alpha", "missing-alpha",
+            "dim-mismatch", "string-truncation", "nan-weight", "zero-weight", "inf-location"])
+    def test_malformed_measure_exit_2(self, tmp_path, capsys, obj, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["hessian-scan", "--measure", str(path), "--t", "1", "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
 
 class TestTransport:
     def test_perturbed_report(self, tmp_path, capsys, perturbed_file):

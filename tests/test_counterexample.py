@@ -18,7 +18,7 @@ from logheat import (
     two_atom_analysis,
     variance_certificate,
 )
-from logheat.counterexample import _tail_adequate
+from logheat.counterexample import _split, _tail_adequate
 from logheat.measures import _PSI_FUNCTIONS as _PSI
 
 
@@ -90,6 +90,25 @@ class TestSplitFunction:
                 hi = mid
         z0 = 0.5 * (lo + hi)
         assert f(z0) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSplitBracket:
+    """``_split_tilt`` brackets the split tilt by [0, z_cap] with no check: its
+    docstring bounds g(0) from below and g(z_cap) from above."""
+
+    @pytest.mark.parametrize("psi, c", [("zero", 0.0), ("linear", 0.01), ("linear", 1.0),
+                                        ("quadratic", 1e-3), ("quadratic", 1.0)])
+    @pytest.mark.parametrize("n", [3, 4, 7, 20, 60, 120])
+    def test_bounds_at_both_ends(self, psi, c, n):
+        m = build_counterexample(_PSI[psi](c), truncation=n)
+        for j in range(1, n):
+            for t in np.logspace(-3.0, 4.0, 8):
+                z_cap = float(m.locations[j]) + t * (float(m.psi_values[j])
+                                                     + 4.0 * math.log(j + 1.0)) / j
+                assert _split(m, t, j, 0.0)[0] >= -math.log(math.pi**2 / 6 - 1) > 0.43
+                g_cap = _split(m, t, j, z_cap)[0]
+                bound = math.log(math.pi**2 / 6) - 2.0 * math.log(j + 1.0) - j * j / (2.0 * t)
+                assert g_cap <= bound * (1.0 - 1e-12) and bound < -0.88
 
 
 class TestVarianceCertificate:

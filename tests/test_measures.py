@@ -12,12 +12,14 @@ from logheat import (
     AtomicMeasure,
     CapabilityError,
     GaussianMixture,
+    NumericalError,
     ValidationError,
     cdf_1d,
     convolve_gaussian,
     dilate,
     log_density,
     log_hessian,
+    log_hessian_heat,
     make_gaussian_mixture,
     make_perturbed,
     mean_variance_1d,
@@ -30,7 +32,7 @@ from logheat import (
     tilted_log_mass,
     tilted_moments,
 )
-from logheat.heatflow import _tilt
+from logheat.heatflow import _tilt, marginal_stats_1d
 from logheat.measures import PiecewiseLinear, _log_gauss_mass, quantile_1d
 
 from conftest import random_mixture, random_perturbed
@@ -65,6 +67,15 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             AtomicMeasure(dim=1, weights=np.array([0.5, 0.5]),
                           locations=np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("weights, locations", [
+        ([math.nan, 1.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.0]),
+        ([0.5, 0.5], [0.0, math.inf]), ([0.5, 0.5], [math.nan, 1.0]),
+    ], ids=["nan-weight", "zero-weight", "inf-location", "nan-location"])
+    def test_atoms_rejected(self, weights, locations):
+        with pytest.raises(ValidationError, match="^atom weights (and locations must be finite"
+                                                  "|must be positive)$"):
+            AtomicMeasure(dim=1, weights=np.array(weights), locations=np.array(locations)[:, None])
 
     def test_perturbed_validation(self):
         with pytest.raises(ValidationError):
@@ -241,6 +252,42 @@ class TestNonFinitePoints:
         for f, m in calls + [(mixture_hessian_lower, mix)]:
             with pytest.raises(ValidationError, match="finite"):
                 f(m, x)
+
+
+class TestFarMixturePoints:
+    """Past |x - m| ~ 1.34e154 the squared distance overflows: the mixture raises
+    NumericalError naming the point instead of returning NaN or -inf, unless
+    another component's logit stays finite."""
+
+    MIX = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 1.0)])
+
+    def test_last_finite_points(self):
+        x = 1.3e154
+        assert tilted_moments(self.MIX, [x], 1.0).covariance[0, 0] == 0.5
+        assert log_hessian_heat(self.MIX, [x], 1.0)[0, 0] == 0.5
+        assert score(self.MIX, [x])[0] == -x
+        assert log_density(self.MIX, [x]) == pytest.approx(-0.5 * x * x, rel=1e-15)
+        log_p, s, h = marginal_stats_1d(self.MIX, 0.5, np.array([0.0, x]))
+        assert np.all(np.isfinite(log_p)) and s[1] == -x and h[1] == pytest.approx(-1.0)
+
+    def test_overflowing_component_has_weight_zero(self):
+        mix = make_gaussian_mixture([(0.5, [0.0], 1e-300), (0.5, [1.0], 1.0)])
+        assert log_density(mix, [1e5]) == log_density(make_gaussian_mixture(
+            [(1.0, [1.0], 1.0)]), [1e5]) + math.log(0.5)
+        assert score(mix, [1e5])[0] == 1.0 - 1e5
+
+    @pytest.mark.parametrize("call", [
+        lambda m: tilted_moments(m, [1.4e154], 0.5),
+        lambda m: log_hessian_heat(m, [1.4e154], 0.5),
+        lambda m: score(m, [1.4e154]),
+        lambda m: log_density(m, [1.4e154]),
+        lambda m: marginal_stats_1d(m, 0.5, np.array([0.0, 2e154])),
+    ], ids=["tilted_moments", "log_hessian_heat", "score", "log_density", "marginal_stats_1d"])
+    def test_overflow_raises(self, call):
+        with pytest.raises(NumericalError, match=r"^mixture logits overflow at x=\[(1\.4|2)e\+154\]"
+                           r": \|x - m\|\^2 / \(2v\) is not finite for any component, nearest "
+                           r"\|x - m\| = \1e\+154$"):
+            call(self.MIX)
 
 
 class TestConvolution:

@@ -62,11 +62,11 @@ def _analyze_pointwise(mixture, radius_cap=None):
                            radius=radius, beta=beta)
 
 
-def _lemma4_check_loop(U, alpha, beta, radius, grid_halfwidth=10.0, grid_step=0.02):
+def _lemma4_check_loop(U, alpha, beta, radius, grid_halfwidth=10.0):
     """The hypothesis check of ``lemma4_decompose`` as the per-point loop it
     replaced, kept as a reference: the same grid, step, tolerance and messages."""
     half = radius + grid_halfwidth
-    grid = np.linspace(-half, half, int(np.ceil(2.0 * half / grid_step)) + 1)
+    grid = np.linspace(-half, half, int(np.ceil(2.0 * half / 0.02)) + 1)
     h, tol = 1e-4, 1e-6
     for x in grid:
         vals = np.array([U(float(x) - h), U(float(x)), U(float(x) + h)], dtype=float)
