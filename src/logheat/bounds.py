@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .measures import GaussianMixture, _mixture_posterior, _points
+from .measures import GaussianMixture, _points
 
 __all__ = [
     "PerturbationParams",
@@ -145,7 +145,7 @@ def mixture_hessian_lower(mixture: GaussianMixture, x) -> tuple[np.ndarray, np.n
     (n, dim) gives two (n, dim, dim) arrays.
     """
     xs, single = _points(mixture, x)
-    l, r, g, _ = _mixture_posterior(mixture, xs)
+    l, r, g, _ = mixture._posterior(xs)
     i, j = np.tril_indices(l.shape[0], -1)  # the pairs j < i
     dg = g[i] - g[j]
     outer = dg[:, :, None, :] * dg[:, None, :, :]

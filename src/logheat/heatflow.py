@@ -50,18 +50,18 @@ def _tilt(measure, zs: np.ndarray, t):
     as checked by ``_points``; t is a float, or an (n,) array with one time
     per row.
 
-    More than ``_BLOCK`` rows go to the kernel in blocks of ``_BLOCK`` rows (t
-    sliced with them), small enough for the heap to reuse instead of faulting
-    in afresh.  A matrix product rounds the last (n mod 4) rows of a call apart
-    and ``_BLOCK`` is a multiple of 4, so the output is bit-identical to one call."""
+    More than ``_BLOCK`` rows go to the kernel in blocks of ``_BLOCK`` rows (t sliced with them),
+    small enough for the heap to reuse.  The output is bit-identical to one call: a matrix product
+    rounds the last (n mod 4) rows of a call apart and ``_BLOCK`` is a multiple of 4, and a last
+    row joins the block before it, since numpy sums a single row's terms pairwise."""
     if not (np.all((t > 0) & (t < math.inf)) if isinstance(t, np.ndarray) else 0 < t < math.inf):
         raise ValidationError(f"t must be positive and finite, got {t}")
     kernel = ms._kernel(measure, "_tilt")
     if zs.shape[0] <= _BLOCK:
         log_mass, mean, cov = kernel(zs, t)
     else:
-        blocks = [kernel(zs[i:i + _BLOCK], t[i:i + _BLOCK] if np.ndim(t) else t)
-                  for i in range(0, zs.shape[0], _BLOCK)]
+        cuts = list(range(0, zs.shape[0] - 1, _BLOCK)) + [zs.shape[0]]
+        blocks = [kernel(zs[i:j], t[i:j] if np.ndim(t) else t) for i, j in zip(cuts, cuts[1:])]
         log_mass, mean, cov = (np.concatenate(parts) for parts in zip(*blocks))
     return log_mass, mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
 

@@ -45,18 +45,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # truncated-Gaussian panel integrals
 # ---------------------------------------------------------------------------
 
-def _logsumexp(a, axis=None):
-    """log(sum(exp(a))) over ``axis`` of an array of at most 2 dimensions, or
-    over all entries (a float).
-
-    The summed axis is swapped to the front and made contiguous: numpy reduces
-    a short trailing axis row by row, about 8x slower on an (n, 2) array."""
-    a = np.asarray(a, dtype=float)
-    a = a.reshape(-1) if axis is None else np.ascontiguousarray(np.swapaxes(a, 0, axis))
-    m = np.max(a, axis=0)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=0)) + m
-    return float(out) if axis is None else out
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) over all entries of a float array."""
+    m = np.max(a)
+    m = m if np.isfinite(m) else 0.0
+    return float(np.log(np.sum(np.exp(a - m))) + m)
 
 
 def _log_gauss_mass(a, b):
@@ -215,30 +208,45 @@ def _points(measure, x) -> tuple[np.ndarray, bool]:
     return zs, single
 
 
-def _mixture_posterior(mu: GaussianMixture, xs: np.ndarray):
-    """Component logits log(w_k N(x; m_k, v_k I)) (k, n), posterior
-    responsibilities (k, n), component scores -(x - m_k)/v_k (k, d, n) and
-    the log-density (n,), at each row x of xs; the component axis leads, so
-    each reduction over it adds whole rows (see ``_logsumexp``).  Variances: (k,) or (k, n).
-    A logit that overflows is a weight of 0; a point where all do raises NumericalError."""
-    v = mu.variances.reshape(mu.weights.size, -1)
-    dm = mu.means[:, :, None] - xs.T[None, :, :]
+def _mixture_posterior(log_w, means, v, xs):
+    """Logits log(w_k N(x; m_k, v_k I)) (k, n), responsibilities (k, n), scores -(x - m_k)/v_k
+    (k, d, n) and log-density (n,) at each row x of xs, for log-weights (k,), means (k, d)
+    and variances (k,) or (k, n), components first: each sum over them adds whole rows.  A
+    component of weight 0, as one whose logit overflows, adds nothing: its score is set to 0
+    if it overflows; a point where every logit overflows raises NumericalError.  Far from every
+    component the logits round alike, so the components sharing the heaviest one's (p) variance
+    take log(w_k/w_p) - <m_k - m_p, dm_k + dm_p>/(2v), dm = m - x, where no |x - m|^2 cancels."""
+    v = v.reshape(log_w.size, -1)
+    dm = means[:, :, None] - xs.T[None, :, :]
     with np.errstate(over="ignore"):
-        logits = (
-            np.log(mu.weights)[:, None] - 0.5 * mu.dim * (_LOG_2PI + np.log(v))
-        ) - 0.5 * np.sum(dm * dm, axis=1) / v
+        logits = (log_w[:, None] - 0.5 * means.shape[1] * (_LOG_2PI + np.log(v))
+                  ) - 0.5 * np.sum(dm * dm, axis=1) / v
+        g = dm / v[:, None]
     # normalized by their sum, not by the log-sum-exp: with logits of 1e107,
     # adding log 2 changes nothing, and the responsibilities would sum to 2
     m = np.max(logits, axis=0)
-    finite = np.isfinite(m)  # -inf where every logit overflowed
-    if not finite.all():
-        j = int(np.argmin(finite))
+    lowest = m.min()  # -inf where every logit overflowed
+    if lowest == -math.inf:
+        j = int(np.argmin(m))
         dist = float(np.min(np.hypot.reduce(np.abs(dm[:, :, j]), axis=1)))
         raise NumericalError(f"mixture logits overflow at x={xs[j].tolist()}: |x - m|^2 / (2v) "
                              f"is not finite for any component, nearest |x - m| = {dist:.6g}")
-    e = np.exp(logits - m)
+    d = logits - m
+    if lowest < -1024.0:  # rows far from every component, relative to its width
+        far = np.flatnonzero(m < -1024.0)
+        p, vf, dmf = np.argmax(d[:, far], axis=0), np.broadcast_to(v, d.shape)[:, far], dm[..., far]
+        vp = vf[p, np.arange(far.size)]
+        with np.errstate(over="ignore"):
+            rel = log_w[:, None] - log_w[p] - np.sum((means[:, :, None] - means[p].T) * (
+                dmf + dm[p, :, far].T), axis=1) / (2.0 * vp)
+        rel = np.where(vf == vp, rel, d[:, far])
+        d[:, far] = rel - np.max(rel, axis=0)  # p, by rounded logits, may not be the heaviest
+    e = np.exp(d)
     total = np.sum(e, axis=0)
-    return logits, e / total, dm / v[:, None], np.log(total) + m
+    r = e / total
+    if not r.all():
+        np.copyto(g, 0.0, where=(r == 0)[:, None] & ~np.isfinite(g))
+    return logits, r, g, np.log(total) + m
 
 
 def _pool(r, vecs, diag):
@@ -250,6 +258,18 @@ def _pool(r, vecs, diag):
     cov = np.einsum("kn,kin,kjn->ijn", r, c, c, order="C")  # so reshape is a view
     cov.reshape(-1, cov.shape[2])[:: mean.shape[0] + 1] += diag
     return mean, cov
+
+
+def _mixture_tilt(log_w, means, s, zs, t):
+    """(log_mass (n,), mean (n, d), cov (n, d, d)) of mu_{z,t} for the mixture mu with
+    variances s >= 0 (k,) at each row z of zs: component k tilts to N(m_k - s_k g_k, s_k t /
+    (s_k + t) I), g_k its score in mu * gamma_t, with weight pi_k; cov is pooled about the mean."""
+    s = s[:, None] if isinstance(t, np.ndarray) else s  # vs t (n,)
+    _, pi, g, log_mass = _mixture_posterior(log_w, means, s + t, zs)
+    var = s * t / (s + t)
+    diag = var @ pi if var.ndim == 1 else np.einsum("kn,kn->n", var, pi)
+    mean, cov = _pool(pi, means[:, :, None] - s.reshape(-1, 1, 1) * g, diag)
+    return log_mass, mean.T, cov.transpose(2, 0, 1)
 
 
 def _with_fields(obj, **fields):
@@ -305,36 +325,34 @@ class GaussianMixture:
         object.__setattr__(self, "variances", v)
 
     def _tilt(self, zs, t):
-        """The posterior of the smoothed mixture mu * gamma_t at z: component k
-        tilts to N(m_k - s_k g_k, (s_k t / (s_k + t)) I), with g_k its component
-        score, and has weight pi_k; the covariance is pooled about the tilted mean."""
-        s = self.variances[:, None] if isinstance(t, np.ndarray) else self.variances  # vs t (n,)
-        # mu * gamma_t has variances s + t; _with_fields skips re-validation
-        _, pi, g, log_mass = _mixture_posterior(_with_fields(self, variances=s + t), zs)
-        var = s * t / (s + t)
-        diag = var @ pi if var.ndim == 1 else np.einsum("kn,kn->n", var, pi)
-        mean, cov = _pool(pi, self.means[:, :, None] - s.reshape(-1, 1, 1) * g, diag)
-        return log_mass, mean.T, cov.transpose(2, 0, 1)
+        return _mixture_tilt(np.log(self.weights), self.means, self.variances, zs, t)
+
+    def _posterior(self, zs):
+        return _mixture_posterior(np.log(self.weights), self.means, self.variances, zs)
 
     def _log_density(self, zs):
-        return _mixture_posterior(self, zs)[3]
+        return self._posterior(zs)[3]
 
     def _score(self, zs):
-        _, r, g, _ = _mixture_posterior(self, zs)
+        _, r, g, _ = self._posterior(zs)
         return np.einsum("kn,kin->ni", r, g)
 
     def _log_hessian(self, zs):
-        _, r, _, _ = _mixture_posterior(self, zs)
+        _, r, _, _ = self._posterior(zs)
         # -sum_k r_k / v_k nearly cancels the pooled scores where the log-Hessian
         # is near zero, so it is summed along contiguous (n, k) rows, in the
         # order of the (n, k, d) layout; -1/v @ r sums it in another order
         diag = np.ascontiguousarray(r.T) @ (-1.0 / self.variances)
         # scores pooled about each row's heaviest component p, with g_k - g_p =
         # x (1/v_p - 1/v_k) + m_k/v_k - m_p/v_p: exact for v_k = v_p, where far
-        # out the scores themselves are equal huge numbers
+        # out the scores themselves are equal huge numbers; m/v may overflow
         p, iv = np.argmax(r, axis=0), 1.0 / self.variances
-        mv = self.means * iv[:, None]
-        dg = zs.T * (iv[p] - iv[:, None])[:, None, :] + (mv[:, :, None] - mv[p].T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mv = self.means * iv[:, None]
+            dg = zs.T * (iv[p] - iv[:, None])[:, None, :] + (mv[:, :, None] - mv[p].T)
+        dg[p, :, np.arange(p.size)] = 0.0  # as computed wherever m_p/v_p is finite
+        if not r.all():  # components of weight 0 add nothing
+            np.copyto(dg, 0.0, where=(r == 0)[:, None])
         return _pool(r, dg, diag)[1].transpose(2, 0, 1)
 
     def _convolve(self, t):
@@ -380,31 +398,13 @@ class GaussianMixture:
 
 
 class _Atoms:
-    """Kernels shared by the finite atomic measures, ``AtomicMeasure`` and
-    ``CounterexampleMeasure``: ``locations`` and normalized ``log_weights``."""
+    """Kernels shared by ``AtomicMeasure`` and ``CounterexampleMeasure``, from
+    ``locations`` and normalized ``log_weights``: an atom is tilted as a mixture
+    component of variance 0, since the heat flow of atoms is a mixture of variance t."""
 
     def _tilt(self, zs, t):
-        """Atoms keep their locations; the tilt only reweights them.  Exponents
-        are taken about the midpoint c of the locations' span, where z.x/t and
-        |x|^2/(2t) would cancel: -|z - x|^2/2 = <z - c, x - c> - |x - c|^2/2 - |z - c|^2/2.
-        Moments are pooled about each row's heaviest atom: a mean near it keeps its digits."""
-        locs = self.locations.reshape(-1, self.dim)
-        c = 0.5 * (locs.min(axis=0) + locs.max(axis=0))
-        xc, zc = locs - c, zs - c
-        q = np.sum(xc * xc, axis=1)
-        with np.errstate(over="ignore"):
-            l = self.log_weights[:, None] + (xc @ zc.T - 0.5 * (q - q.min())[:, None]) / t
-            zz = np.sum(zc * zc, axis=1)
-        if not (np.all(np.isfinite(l)) and np.all(np.isfinite(zz))):
-            j = int(np.argmin(np.all(np.isfinite(l), axis=0) & np.isfinite(zz)))
-            raise NumericalError(f"tilted atom weights are non-finite at z={zs[j].tolist()}, t="
-                                 f"{float(t[j] if np.ndim(t) else t)!r}: largest exponent "
-                                 f"{float(np.max(l[:, j]))!r}; recenter z before tilting")
-        lse = _logsumexp(l, axis=0)
-        pivot = locs[np.argmax(l, axis=0)]  # (n, d)
-        mean, cov = _pool(np.exp(l - lse), locs[:, :, None] - pivot.T, 0.0)
-        log_mass = lse - (zz + q.min()) / (2.0 * t) - 0.5 * self.dim * (_LOG_2PI + np.log(t))
-        return log_mass, mean.T + pivot, cov.transpose(2, 0, 1)
+        lw = self.log_weights
+        return _mixture_tilt(lw, self.locations.reshape(lw.size, -1), np.zeros(lw.size), zs, t)
 
     def _sorted_1d(self) -> tuple[np.ndarray, np.ndarray]:
         """Locations in increasing order, and their normalized weights (1D only)."""

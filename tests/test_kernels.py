@@ -27,7 +27,7 @@ from logheat import (
 )
 from logheat import measures as ms
 from logheat.heatflow import _tilt
-from logheat.measures import _LOG_2PI, _log_gauss_mass, _logsumexp, _panel_moments
+from logheat.measures import _LOG_2PI, _log_gauss_mass, _panel_moments
 
 
 def _panel_moments_all_edges(C, B, A, edges):
@@ -105,9 +105,10 @@ def _posterior_nkd(weights, means, variances, xs):
     logits = (np.log(weights) - 0.5 * dim * (_LOG_2PI + np.log(variances))
               - 0.5 * np.sum(diff * diff, axis=2) / variances)
     # responsibilities divided by their own sum, as the library does
-    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    m = np.max(logits, axis=1, keepdims=True)
+    e = np.exp(logits - m)
     resp = e / np.sum(e, axis=1, keepdims=True)
-    return resp, -diff / variances[:, None], _logsumexp(logits, axis=1)
+    return resp, -diff / variances[:, None], np.log(np.sum(e, axis=1)) + m[:, 0]
 
 
 def _tilt_mixture_nkd(mu, zs, t):
@@ -316,13 +317,22 @@ _BLOCK_TARGETS = {
                              locations=np.array([[0.0], [2.0]])),
     "atoms2d": AtomicMeasure(dim=2, weights=np.array([0.2, 0.3, 0.5]),
                              locations=np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0]])),
+    # 8 or more terms: numpy sums the terms of a single row pairwise
+    "mix8": GaussianMixture(dim=1, weights=np.arange(1.0, 9.0) / 36.0,
+                            means=np.linspace(-7.0, 7.0, 8)[:, None],
+                            variances=np.linspace(0.5, 2.0, 8)),
+    "atoms40": AtomicMeasure(dim=1, weights=np.arange(1.0, 41.0) / 820.0,
+                             locations=np.linspace(-8.0, 8.0, 40)[:, None]),
+    "panels9": make_perturbed(1, [-3, -1, 1, 3], [-1, -0.5, 0, 0.5, 1],
+                              [-2, 0, 2, 4], [0.5, -0.5, 1, -1, 0]),
 }
 
 
 class TestRowBlocks:
-    """A batch of any size gives, bit for bit, the rows of smaller batches
-    starting at multiples of 4, and of one kernel call over every row:
-    ``_tilt`` evaluates a large batch in blocks of 4096 rows."""
+    """A batch of any size gives, bit for bit, the rows of one kernel call
+    over every row, and of smaller batches of at least 2 rows starting at
+    multiples of 4: ``_tilt`` evaluates a large batch in blocks of 4096 rows,
+    and a last row left alone joins the block before it."""
 
     @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-t", "per-row-t"])
     @pytest.mark.parametrize("n", [4095, 4096, 4097, 3 * 4096 + 5])
@@ -335,8 +345,9 @@ class TestRowBlocks:
         got = _tilt(mu, zs, t)
         # slices of 2048 rows, with edges between the block edges: a matrix
         # product rounds the last (n mod 4) rows of a call apart, so slices
-        # start at multiples of 4 to keep each row's arithmetic
-        cuts = list(range(0, n, 2048)) + [n]
+        # start at multiples of 4 to keep each row's arithmetic, and a sum over
+        # 8 or more components or panels differs in a slice of 1 row
+        cuts = list(range(0, n - 1, 2048)) + [n]
         parts = [_tilt(mu, zs[i:j], t[i:j] if per_row else t) for i, j in zip(cuts, cuts[1:])]
         for g, w in zip(got, zip(*parts)):
             assert np.array_equal(g, np.concatenate(w), equal_nan=True)

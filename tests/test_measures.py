@@ -290,6 +290,56 @@ class TestFarMixturePoints:
             call(self.MIX)
 
 
+class TestFarRows:
+    """Far from every component the logits are huge and round alike; the
+    components of one variance are then weighted relative to the heaviest.
+    A component of weight 0 adds nothing, even where its score overflows."""
+
+    @pytest.mark.parametrize("x", [1e17, 1e18, 1e30, 1e100, 1.3e154])
+    def test_log_hessian_far_out(self, x):
+        # (x - 2)^2 and (x + 2)^2 round to one value from |x| ~ 1e17 on
+        mix = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 1.0)])
+        assert log_hessian(mix, [x])[0, 0] == -1.0
+        assert log_hessian(mix, [-x])[0, 0] == -1.0
+
+    def test_far_apart_components(self):
+        # the component at 1e299 has weight 0 at x = 0: every evaluator gives
+        # the values of the component at 0 alone, and raises no warning
+        far = GaussianMixture(dim=1, weights=[0.5, 0.5], means=[[0.0], [1e299]],
+                              variances=[1e-10, 1e-10])
+        one = GaussianMixture(dim=1, weights=[1.0], means=[[0.0]], variances=[1e-10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert score(far, [0.0])[0] == 0.0
+            assert log_density(far, [0.0]) == pytest.approx(
+                log_density(one, [0.0]) + math.log(0.5), rel=1e-15)
+            assert log_hessian(far, [0.0])[0, 0] == -1e10
+            assert log_hessian_heat(far, [0.0], 1e-10)[0, 0] == 5e9
+            assert [h[0, 0] for h in mixture_hessian_lower(far, [0.0])] == [1e10, 1e10]
+            tm = tilted_moments(far, [0.0], 1e-10)
+            assert tm.mean[0] == 0.0 and tm.covariance[0, 0] == 5e-11
+
+    @pytest.mark.parametrize("means, variances, want", [
+        ([[1e299]], [1e-10], -1e10),
+        ([[1e299], [0.0]], [1e-10, 1e-10], -1e10),
+    ], ids=["one", "far-second"])
+    def test_log_hessian_where_mean_over_variance_overflows(self, means, variances, want):
+        # m / v = 1e309 overflows, but the heaviest component's score difference is 0
+        mix = GaussianMixture(dim=1, weights=np.full(len(means), 1.0 / len(means)),
+                              means=means, variances=variances)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_hessian(mix, [1e299])[0, 0] == pytest.approx(want, rel=1e-15)
+
+    def test_far_apart_atoms(self):
+        atoms = AtomicMeasure(dim=1, weights=np.array([0.5, 0.5]),
+                              locations=np.array([[0.0], [1e299]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tm = tilted_moments(atoms, [0.0], 1e-10)
+        assert tm.mean[0] == 0.0 and tm.covariance[0, 0] == 0.0
+
+
 class TestConvolution:
     def test_variances_add(self):
         g = standard_gaussian(1)
