@@ -148,20 +148,16 @@ def wasserstein2_1d(mu, nu) -> float:
     for m in (mu, nu):
         if getattr(m, "dim", None) != 1:
             raise CapabilityError("wasserstein2_1d supports 1D measures only")
-    if isinstance(mu, ms._Atoms) and isinstance(nu, ms._Atoms):
-        # both quantiles are constant between merged cumulative weights: midpoints are exact
-        cuts = np.unique(np.concatenate([np.cumsum(mu._sorted_1d()[1]),
-                                         np.cumsum(nu._sorted_1d()[1]), [0.0, 1.0]]))
-        cuts = np.clip(cuts, 0.0, 1.0)
+    parts = [m._components() if hasattr(m, "_components") else None for m in (mu, nu)]
+    if None not in parts and not (parts[0][2].any() or parts[1][2].any()):
+        # atoms: the quantiles are constant between merged cumulative weights; midpoints are exact
+        cuts = [np.cumsum(w[np.argsort(c[:, 0])]) for w, c, _ in parts]
+        cuts = np.clip(np.unique(np.concatenate(cuts + [[0.0, 1.0]])), 0.0, 1.0)
         u, w = 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
-    elif (
-        isinstance(mu, ms.GaussianMixture)
-        and isinstance(nu, ms.GaussianMixture)
-        and mu.weights.size == 1
-        and nu.weights.size == 1
-    ):
-        dm = float(mu.means[0, 0] - nu.means[0, 0])
-        ds = math.sqrt(float(mu.variances[0])) - math.sqrt(float(nu.variances[0]))
+    elif None not in parts and parts[0][0].size == parts[1][0].size == 1:  # N(c, s) each
+        (_, c1, s1), (_, c2, s2) = parts
+        dm = float(c1[0, 0] - c2[0, 0])
+        ds = math.sqrt(float(s1[0])) - math.sqrt(float(s2[0]))
         return math.hypot(dm, ds)
     else:
         nodes, weights = np.polynomial.legendre.leggauss(512)

@@ -4,10 +4,11 @@ densities, and the heavy-certificate atomic construction.
 All measures are immutable after construction.  Each family owns the kernels
 it supports as methods; the public functions check their arguments and find
 the kernel through ``_kernel``, which raises ``CapabilityError`` for a family
-without it.  Densities of the perturbed class are piecewise log-quadratic, so
-every Gaussian convolution / tilt has a closed form in terms of
-truncated-Gaussian integrals; the helpers at the top of this file implement
-those integrals in log-space.
+without it.  Mixtures, atoms and the counterexample are one finite family of
+log-weighted Gaussian components of variance s >= 0 (an atom where s = 0),
+whose kernels are written once, on ``_Finite``.  Perturbed densities are
+piecewise log-quadratic: every Gaussian convolution / tilt is a sum of
+truncated-Gaussian integrals, which the helpers at the top implement in logs.
 """
 from __future__ import annotations
 
@@ -44,13 +45,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # ---------------------------------------------------------------------------
 # truncated-Gaussian panel integrals
 # ---------------------------------------------------------------------------
-
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) over all entries of a float array."""
-    m = np.max(a)
-    m = m if np.isfinite(m) else 0.0
-    return float(np.log(np.sum(np.exp(a - m))) + m)
-
 
 def _log_gauss_mass(a, b):
     """log(Phi(b) - Phi(a)) for a <= b, elementwise, +-inf allowed.
@@ -260,18 +254,6 @@ def _pool(r, vecs, diag):
     return mean, cov
 
 
-def _mixture_tilt(log_w, means, s, zs, t):
-    """(log_mass (n,), mean (n, d), cov (n, d, d)) of mu_{z,t} for the mixture mu with
-    variances s >= 0 (k,) at each row z of zs: component k tilts to N(m_k - s_k g_k, s_k t /
-    (s_k + t) I), g_k its score in mu * gamma_t, with weight pi_k; cov is pooled about the mean."""
-    s = s[:, None] if isinstance(t, np.ndarray) else s  # vs t (n,)
-    _, pi, g, log_mass = _mixture_posterior(log_w, means, s + t, zs)
-    var = s * t / (s + t)
-    diag = var @ pi if var.ndim == 1 else np.einsum("kn,kn->n", var, pi)
-    mean, cov = _pool(pi, means[:, :, None] - s.reshape(-1, 1, 1) * g, diag)
-    return log_mass, mean.T, cov.transpose(2, 0, 1)
-
-
 def _with_fields(obj, **fields):
     """Shallow copy of a frozen dataclass with ``fields`` replaced and
     ``__post_init__`` skipped: the caller keeps the fields consistent."""
@@ -295,14 +277,81 @@ def _quantile_grid(measure, u: np.ndarray) -> np.ndarray:
 # per row; _log_density, _score and _log_hessian take the same points
 # ---------------------------------------------------------------------------
 
+class _Finite:
+    """Kernels of a finite mixture sum_k w_k N(c_k, s_k I) with variances s_k >= 0, an atom
+    at c_k where s_k = 0: the heat flow of atoms is a mixture of variance t.  A family holds
+    normalized ``log_weights`` (k,) and gives ``_components()``: weights w (k,), centres c
+    (k, dim) and s (k,)."""
+
+    def _components_1d(self):
+        if self.dim != 1:
+            raise CapabilityError("1D only")
+        w, c, s = self._components()
+        return w, c[:, 0], s
+
+    def _tilt(self, zs, t):
+        # component k tilts to N(c_k - s_k g_k, s_k t / (s_k + t) I), g_k its score in
+        # mu * gamma_t, with weight pi_k; cov is pooled about the mean
+        _, c, s = self._components()
+        s = s[:, None] if isinstance(t, np.ndarray) else s  # vs t (n,)
+        _, pi, g, log_mass = _mixture_posterior(self.log_weights, c, s + t, zs)
+        var = s * t / (s + t)
+        diag = var @ pi if var.ndim == 1 else np.einsum("kn,kn->n", var, pi)
+        mean, cov = _pool(pi, c[:, :, None] - s.reshape(-1, 1, 1) * g, diag)
+        return log_mass, mean.T, cov.transpose(2, 0, 1)
+
+    def _convolve(self, t):
+        w, c, s = self._components()
+        with np.errstate(over="ignore"):
+            v = s + t
+        if not np.all(v < math.inf):
+            raise ValidationError(f"t={t!r} takes a component variance s + t past the float range")
+        # not through the constructor: with the parent's log-weights, a weight may underflow to 0
+        out = object.__new__(GaussianMixture)
+        out.__dict__.update(dim=self.dim, weights=w, means=c, variances=v,
+                            log_weights=self.log_weights)
+        return out
+
+    def _mean_variance(self):
+        w, c, s = self._components_1d()
+        mean = float(np.dot(w, c))
+        return mean, float(np.dot(w, s + (c - mean) ** 2))
+
+    def _cdf(self, x):
+        from scipy.special import ndtr
+
+        w, c, s = self._components_1d()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (x[:, None] - c) / np.sqrt(s)
+        # where s = 0, the right-continuous step at c
+        return ndtr(np.where(s > 0, z, np.where(x[:, None] >= c, math.inf, -math.inf))) @ w
+
+    def _quantile(self, u):
+        w, c, s = self._components_1d()
+        if not s.any():  # a step CDF: the first atom at which it reaches u
+            order = np.argsort(c)
+            return c[order][np.minimum(np.searchsorted(np.cumsum(w[order]), u), c.size - 1)]
+        if w.size > 1:
+            return _quantile_grid(self, u)
+        from scipy.special import ndtri
+
+        return float(c[0]) + math.sqrt(float(s[0])) * ndtri(u)
+
+    def _sample(self, rng, n):
+        w, c, s = self._components()
+        idx = rng.choice(w.size, size=n, p=w)
+        return c[idx] + np.sqrt(s[idx])[:, None] * rng.standard_normal((n, self.dim))
+
+
 @dataclass(frozen=True)
-class GaussianMixture:
+class GaussianMixture(_Finite):
     """Finite mixture of isotropic Gaussians on R^dim."""
 
     dim: int
     weights: np.ndarray  # (k,)
     means: np.ndarray    # (k, dim)
     variances: np.ndarray  # (k,) component covariance = variances[k] * I
+    log_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -323,12 +372,13 @@ class GaussianMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
+        object.__setattr__(self, "log_weights", np.log(w))
 
-    def _tilt(self, zs, t):
-        return _mixture_tilt(np.log(self.weights), self.means, self.variances, zs, t)
+    def _components(self):
+        return self.weights, self.means, self.variances
 
     def _posterior(self, zs):
-        return _mixture_posterior(np.log(self.weights), self.means, self.variances, zs)
+        return _mixture_posterior(self.log_weights, self.means, self.variances, zs)
 
     def _log_density(self, zs):
         return self._posterior(zs)[3]
@@ -355,10 +405,6 @@ class GaussianMixture:
             np.copyto(dg, 0.0, where=(r == 0)[:, None])
         return _pool(r, dg, diag)[1].transpose(2, 0, 1)
 
-    def _convolve(self, t):
-        return GaussianMixture(dim=self.dim, weights=self.weights, means=self.means,
-                               variances=self.variances + t)
-
     def _dilate(self, c):
         # a field copy: only the scaled means and variances can leave the
         # valid range, by overflow or underflow, which the check reports
@@ -369,75 +415,15 @@ class GaussianMixture:
                                   "variances out of the finite positive range")
         return _with_fields(self, means=means, variances=variances)
 
-    def _mean_variance(self):
-        if self.dim != 1:
-            raise CapabilityError("1D only")
-        m = self.means[:, 0]
-        mean = float(np.dot(self.weights, m))
-        return mean, float(np.dot(self.weights, self.variances + (m - mean) ** 2))
-
-    def _cdf(self, x):
-        if self.dim != 1:
-            raise CapabilityError("1D only")
-        from scipy.special import ndtr
-
-        z = (x[:, None] - self.means[None, :, 0]) / np.sqrt(self.variances)[None, :]
-        return ndtr(z) @ self.weights
-
-    def _quantile(self, u):
-        if self.weights.size > 1:
-            return _quantile_grid(self, u)
-        from scipy.special import ndtri
-
-        return float(self.means[0, 0]) + math.sqrt(float(self.variances[0])) * ndtri(u)
-
-    def _sample(self, rng, n):
-        idx = rng.choice(self.weights.size, size=n, p=self.weights)
-        g = rng.standard_normal((n, self.dim))
-        return self.means[idx] + np.sqrt(self.variances[idx])[:, None] * g
-
-
-class _Atoms:
-    """Kernels shared by ``AtomicMeasure`` and ``CounterexampleMeasure``, from
-    ``locations`` and normalized ``log_weights``: an atom is tilted as a mixture
-    component of variance 0, since the heat flow of atoms is a mixture of variance t."""
-
-    def _tilt(self, zs, t):
-        lw = self.log_weights
-        return _mixture_tilt(lw, self.locations.reshape(lw.size, -1), np.zeros(lw.size), zs, t)
-
-    def _sorted_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        """Locations in increasing order, and their normalized weights (1D only)."""
-        if self.dim != 1:
-            raise CapabilityError("1D only")
-        xs = self.locations.reshape(-1)
-        order = np.argsort(xs)
-        lw = self.log_weights
-        return xs[order], np.exp(lw - _logsumexp(lw))[order]
-
-    def _mean_variance(self):
-        x, w = self._sorted_1d()
-        mean = float(np.dot(w, x))
-        return mean, float(np.dot(w, (x - mean) ** 2))
-
-    def _cdf(self, x):
-        xs, w = self._sorted_1d()
-        idx = np.searchsorted(xs, x, side="right")
-        return np.concatenate([[0.0], np.cumsum(w)])[idx]
-
-    def _quantile(self, u):
-        xs, w = self._sorted_1d()
-        idx = np.minimum(np.searchsorted(np.cumsum(w), u, side="left"), xs.size - 1)
-        return xs[idx]
-
 
 @dataclass(frozen=True)
-class AtomicMeasure(_Atoms):
+class AtomicMeasure(_Finite):
     """Finite weighted sum of Dirac masses."""
 
     dim: int
     weights: np.ndarray    # (k,)
     locations: np.ndarray  # (k, dim)
+    log_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -454,20 +440,13 @@ class AtomicMeasure(_Atoms):
             raise ValidationError("atom locations must be pairwise distinct")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "locations", x)
+        object.__setattr__(self, "log_weights", np.log(w))
 
-    @property
-    def log_weights(self) -> np.ndarray:
-        return np.log(self.weights)
-
-    def _convolve(self, t):
-        return GaussianMixture(dim=self.dim, weights=self.weights, means=self.locations,
-                               variances=np.full(self.weights.size, float(t)))
+    def _components(self):
+        return self.weights, self.locations, np.zeros(self.weights.size)
 
     def _dilate(self, c):
         return AtomicMeasure(dim=self.dim, weights=self.weights, locations=self.locations * c)
-
-    def _sample(self, rng, n):
-        return self.locations[rng.choice(self.weights.size, size=n, p=self.weights)]
 
 
 @dataclass(frozen=True)
@@ -590,7 +569,7 @@ class PerturbedLogConcave1D:
 
 
 @dataclass(frozen=True)
-class CounterexampleMeasure(_Atoms):
+class CounterexampleMeasure(_Finite):
     """Atoms at x_i = i(i+1)/2 with weights prop. to (i+1)^-2 exp(-psi(x_i)).
 
     The infinite series is truncated at index ``truncation``; weights are
@@ -618,7 +597,8 @@ class CounterexampleMeasure(_Atoms):
         if np.any(np.diff(psi_vals) < 0):
             raise ValidationError("psi must be nondecreasing on the atom set")
         raw = -2.0 * np.log(i + 1.0) - psi_vals
-        logZ = _logsumexp(raw)
+        top = np.max(raw)
+        logZ = float(np.log(np.sum(np.exp(raw - top))) + top)
         # dropped raw mass <= e^{-psi(x_{n+1})} * sum_{i>n} (i+1)^{-2}
         tail = math.exp(-float(self.psi((n + 1) * (n + 2) / 2.0))) / (n + 1)
         object.__setattr__(self, "locations", xs)
@@ -631,9 +611,8 @@ class CounterexampleMeasure(_Atoms):
             self, "exp_psi_moment", (math.pi**2 / 6.0) / math.exp(logZ)
         )
 
-    def _sample(self, rng, n):
-        w = np.exp(self.log_weights)
-        return self.locations[rng.choice(self.locations.size, size=n, p=w / np.sum(w))][:, None]
+    def _components(self):
+        return np.exp(self.log_weights), self.locations[:, None], np.zeros(self.locations.size)
 
 
 Measure = GaussianMixture | AtomicMeasure | PerturbedLogConcave1D | CounterexampleMeasure
@@ -731,10 +710,11 @@ def log_hessian(measure: Measure, x) -> np.ndarray:
 
 
 def convolve_gaussian(measure: Measure, t: float) -> GaussianMixture:
-    """Heat semigroup at time t: mu -> mu * gamma_t, a mixture, for mixtures and
-    atoms; ``heatflow.tilted_log_mass`` gives its log-density for every family."""
-    if not t > 0:
-        raise ValidationError("t must be positive")
+    """Heat semigroup at time t: mu -> mu * gamma_t, a mixture of variances s + t, for the
+    finite families (mixtures, atoms and the counterexample), with the parent's log-weights;
+    ``heatflow.tilted_log_mass`` gives its log-density for every family."""
+    if not 0 < t < math.inf:
+        raise ValidationError(f"need 0 < t < inf, got t={t!r}")
     return _kernel(measure, "_convolve")(t)
 
 
@@ -750,13 +730,20 @@ def mean_variance_1d(measure) -> tuple[float, float]:
 
 
 def cdf_1d(measure, x) -> np.ndarray:
-    """CDF evaluated at a scalar or array of points (1D measures only)."""
-    return _kernel(measure, "_cdf")(np.atleast_1d(np.asarray(x, dtype=float)))
+    """CDF evaluated at a scalar or array of points (1D measures only); x = -inf, inf give 0, 1."""
+    kernel, x = _kernel(measure, "_cdf"), np.atleast_1d(np.asarray(x, dtype=float))
+    if np.isnan(x).any():
+        raise ValidationError("cdf_1d needs x that is not NaN")
+    return kernel(x)
 
 
 def quantile_1d(measure, u) -> np.ndarray:
-    """Generalized inverse CDF at probabilities u (1D measures)."""
-    return _kernel(measure, "_quantile")(np.atleast_1d(np.asarray(u, dtype=float)))
+    """Generalized inverse CDF at probabilities u in [0, 1] (1D measures)."""
+    kernel, u = _kernel(measure, "_quantile"), np.atleast_1d(np.asarray(u, dtype=float))
+    bad = u[~((u >= 0.0) & (u <= 1.0))]
+    if bad.size:
+        raise ValidationError(f"quantile_1d needs u in [0, 1], got u={float(bad[0])!r}")
+    return kernel(u)
 
 
 def sample(measure, n: int, seed: int = 0) -> np.ndarray:

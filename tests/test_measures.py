@@ -1,5 +1,6 @@
 """Measure construction, densities, convolution, sampling, CDFs."""
 import math
+import re
 import warnings
 
 import mpmath
@@ -378,6 +379,35 @@ class TestConvolution:
         with pytest.raises(ValidationError):
             convolve_gaussian(standard_gaussian(1), 0.0)
 
+    @pytest.mark.parametrize("variance, t", [(1.0, math.inf), (1.0, math.nan), (1e308, 1e308)])
+    def test_t_out_of_range_names_t(self, variance, t):
+        # s + t past the float range is reported, not returned as an inf variance
+        g = make_gaussian_mixture([(1.0, [0.0], variance)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(f"t={t!r}")):
+                convolve_gaussian(g, t)
+
+    @pytest.mark.parametrize("psi", [lambda x: x, lambda x: x * x], ids=["linear", "quadratic"])
+    @pytest.mark.parametrize("t", [0.5, 3.0])
+    def test_counterexample_meets_its_heat_tilt(self, psi, t):
+        # 23 (linear) and 54 (quadratic) of the 61 weights underflow to 0; the
+        # convolution keeps their log-weights, so it is the tilt's mixture
+        cex = build_counterexample(psi, truncation=60)
+        conv = convolve_gaussian(cex, t)
+        assert isinstance(conv, GaussianMixture) and conv.variances.tolist() == [t] * 61
+        z = np.array([[0.3], [5.0], [40.0], [300.0]])
+        log_mass, mean, _ = _tilt(cex, z, t)
+        assert np.array_equal(log_density(conv, z), tilted_log_mass(cex, z, t))
+        np.testing.assert_allclose(score(conv, z), (mean - z) / t, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(log_hessian(conv, z), -log_hessian_heat(cex, z, t),
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_zero_weight_still_rejected(self):
+        with pytest.raises(ValidationError, match="positive"):
+            GaussianMixture(dim=1, weights=np.array([1.0, 0.0]), means=np.array([[0.0], [1.0]]),
+                            variances=np.array([1.0, 1.0]))
+
 
 class TestDilate:
     def test_mixture(self):
@@ -653,9 +683,29 @@ _MISSING = {
     "mixture": set(),
     "atomic": {"log_density", "score", "log_hessian"},
     "perturbed": {"convolve_gaussian"},
-    "counterexample": {"log_density", "score", "log_hessian", "convolve_gaussian", "dilate"},
+    "counterexample": {"log_density", "score", "log_hessian", "dilate"},
     "bare": set(_CALLS),
 }
+
+
+_ONE_D = {**{k: v for k, v in _FAMILIES.items() if k != "bare"},
+          "gaussian": lambda: standard_gaussian(1)}
+
+
+class TestProbabilityArguments:
+    """quantile_1d and cdf_1d check their arguments once, for every family."""
+
+    @pytest.mark.parametrize("family", sorted(_ONE_D))
+    def test_out_of_range_rejected(self, family):
+        m = _ONE_D[family]()
+        for u in (1.5, -0.5, math.nan):
+            with pytest.raises(ValidationError, match=f"u={u!r}"):
+                quantile_1d(m, [0.5, u])
+        with pytest.raises(ValidationError, match="NaN"):
+            cdf_1d(m, [0.0, math.nan])
+        assert cdf_1d(m, [-math.inf, math.inf]) == pytest.approx([0.0, 1.0], rel=0, abs=2e-16)
+        q = quantile_1d(m, [0.0, 0.5, 1.0])
+        assert q[0] <= q[1] <= q[2]
 
 
 class TestKernelLookup:

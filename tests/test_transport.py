@@ -523,17 +523,26 @@ class TestThetaFromHeatTilts:
 
 
 class TestCertificationChain:
-    def test_empirical_below_integral_below_closed_form(self):
-        # perturbed target with alpha = 1, lip = 0.8: the measured slope is
-        # bounded by exp(integral theta_max), itself below the closed-form
-        # transport constant
-        pm = make_perturbed(1.0, [], [0.0], [0.0], [0.8, -0.8])
+    # Sharp(alpha, L): V = alpha x^2/2, H = L|x|; the exact map's slope at 0 is
+    # T'(0) = 2 Phi(L/sqrt(alpha)) e^{L^2/(2 alpha)} / sqrt(alpha)
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("lip", [0.0, 0.8, 2.0, 3.0, 5.0])
+    def test_empirical_below_integral_below_closed_form(self, lip, alpha):
+        # the measured slope is bounded by exp(integral theta_max), itself
+        # below the closed-form transport constant
+        pm = make_perturbed(alpha, [], [0.0], [0.0], [lip, -lip])
         flow = build_flow_map(pm, n_points=129)
-        lip = float(empirical_lipschitz(flow))
+        lip_est = float(empirical_lipschitz(flow))
         env = theta_envelope(pm)
-        closed = transport_constants(PerturbationParams(alpha=1.0, lip=0.8))["thm3"]
-        assert lip <= math.exp(env.integral_theta_max) * 1.02
+        closed = transport_constants(PerturbationParams(alpha=alpha, lip=lip))["thm3"]
+        assert lip_est <= math.exp(env.integral_theta_max) * 1.02
         assert math.exp(env.integral_theta_max) <= closed * 1.05
+        a = lip / math.sqrt(alpha)
+        slope0 = 2.0 * stats.norm.cdf(a) * math.exp(0.5 * a * a) / math.sqrt(alpha)
+        assert math.exp(env.integral_theta_max) == pytest.approx(slope0, rel=1e-12, abs=0)
+        # Theorem 3 exceeds T'(0) by exactly e^{2L/sqrt(alpha)} / (2 Phi(L/sqrt(alpha)))
+        gap = math.exp(2.0 * a) / (2.0 * stats.norm.cdf(a))
+        assert closed / slope0 == pytest.approx(gap, rel=1e-15, abs=0)
 
 
 class TestReverseSde:
