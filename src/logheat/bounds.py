@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .measures import GaussianMixture, _points
+from .measures import GaussianMixture, _kernel, _points
 
 __all__ = [
     "PerturbationParams",
@@ -144,8 +144,9 @@ def mixture_hessian_lower(mixture: GaussianMixture, x) -> tuple[np.ndarray, np.n
     ``x`` of shape (dim,) gives two (dim, dim) matrices; a batch of shape
     (n, dim) gives two (n, dim, dim) arrays.
     """
+    posterior = _kernel(mixture, "_posterior")
     xs, single = _points(mixture, x)
-    l, r, g, _ = mixture._posterior(xs)
+    l, r, g, _ = posterior(xs)
     i, j = np.tril_indices(l.shape[0], -1)  # the pairs j < i
     dg = g[i] - g[j]
     outer = dg[:, :, None, :] * dg[:, None, :, :]

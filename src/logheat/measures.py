@@ -208,8 +208,9 @@ def _mixture_posterior(log_w, means, v, xs):
     and variances (k,) or (k, n), components first: each sum over them adds whole rows.  A
     component of weight 0, as one whose logit overflows, adds nothing: its score is set to 0
     if it overflows; a point where every logit overflows raises NumericalError.  Far from every
-    component the logits round alike, so the components sharing the heaviest one's (p) variance
-    take log(w_k/w_p) - <m_k - m_p, dm_k + dm_p>/(2v), dm = m - x, where no |x - m|^2 cancels."""
+    component the logits round alike, so each component takes its logit relative to the heaviest
+    one's (p): l_k - l_p = log(w_k/w_p) - (d/2) log(v_k/v_p) - |dm_k|^2 (v_p - v_k)/(2 v_k v_p)
+    - <m_k - m_p, dm_k + dm_p>/(2 v_p), dm = m - x, where no |x - m|^2 of one cancels another's."""
     v = v.reshape(log_w.size, -1)
     dm = means[:, :, None] - xs.T[None, :, :]
     with np.errstate(over="ignore"):
@@ -230,10 +231,14 @@ def _mixture_posterior(log_w, means, v, xs):
         far = np.flatnonzero(m < -1024.0)
         p, vf, dmf = np.argmax(d[:, far], axis=0), np.broadcast_to(v, d.shape)[:, far], dm[..., far]
         vp = vf[p, np.arange(far.size)]
-        with np.errstate(over="ignore"):
-            rel = log_w[:, None] - log_w[p] - np.sum((means[:, :, None] - means[p].T) * (
-                dmf + dm[p, :, far].T), axis=1) / (2.0 * vp)
-        rel = np.where(vf == vp, rel, d[:, far])
+        with np.errstate(over="ignore", invalid="ignore"):
+            # |dm_k|^2 (v_p - v_k)/(v_k v_p), scaled before squaring lest |dm|^2 overflow
+            spread = np.sum(dmf * ((vp - vf) / vf / vp)[:, None] * dmf, axis=1)
+            rel = (log_w[:, None] - log_w[p] - 0.5 * means.shape[1] * (np.log(vf) - np.log(vp))
+                   - 0.5 * spread
+                   - np.sum((means[:, :, None] - means[p].T) * (dmf + dm[p, :, far].T), axis=1)
+                   / (2.0 * vp))
+        rel = np.where(np.isfinite(logits[:, far]), rel, -math.inf)  # overflowed: weight 0
         d[:, far] = rel - np.max(rel, axis=0)  # p, by rounded logits, may not be the heaviest
     e = np.exp(d)
     total = np.sum(e, axis=0)
@@ -285,7 +290,8 @@ class _Finite:
 
     def _components_1d(self):
         if self.dim != 1:
-            raise CapabilityError("1D only")
+            raise CapabilityError(
+                f"{type(self).__name__} has dim {self.dim}; this kernel is 1D only")
         w, c, s = self._components()
         return w, c[:, 0], s
 

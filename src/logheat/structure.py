@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import mixture_hessian_lower
 from .errors import NumericalError, PreconditionError, ValidationError
-from .measures import GaussianMixture
+from .measures import GaussianMixture, _kernel
 
 __all__ = [
     "Decomposition",
@@ -175,8 +175,9 @@ def analyze_mixture_1d(
     each of their strict local minima below 3K/4; beta covers the worst dip
     inside.  The default radius_cap is the search points' extent.
     """
+    _kernel(mixture, "_posterior")  # a CapabilityError for any other family
     if mixture.dim != 1:
-        raise ValidationError("mixture must be 1D")
+        raise ValidationError(f"mixture must be 1D, got dim {mixture.dim}")
     K = 1.0 / float(np.max(mixture.variances))
     if mixture.weights.size == 1:
         return MixtureAnalysis(alpha=K, lip=0.0, radius=0.0, beta=0.0)

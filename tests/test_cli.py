@@ -1,4 +1,5 @@
 """Command-line interface: reports, CSV outputs, exit codes, determinism."""
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from logheat import build_counterexample, variance_certificate
-from logheat.cli import main
+from logheat.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -30,6 +31,23 @@ def perturbed_file(tmp_path):
         "alpha": 1.0,
         "h_knots": [0.0],
         "h_slopes": [0.5, -0.5],
+    }))
+    return str(path)
+
+
+@pytest.fixture
+def atomic_file(tmp_path):
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps({"type": "atomic", "atoms": [[0.3, [0.0]], [0.7, [2.0]]]}))
+    return str(path)
+
+
+@pytest.fixture
+def mixture2d_file(tmp_path):
+    path = tmp_path / "mixture2d.json"
+    path.write_text(json.dumps({
+        "type": "gaussian_mixture", "dim": 2,
+        "components": [[0.5, [0.0, 0.0], 1.0], [0.5, [2.0, 1.0], 1.0]],
     }))
     return str(path)
 
@@ -210,6 +228,12 @@ class TestDecompose:
             main(["decompose"])
         assert exc.value.code == 64
 
+    def test_measure_and_coeffs_exclusive(self, capsys, mixture_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--measure", mixture_file, "--coeffs", "0,0,1"])
+        assert exc.value.code == 64
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_precondition_exit_2(self, capsys):
         # U = -x^2 violates convexity outside every radius
         rc = main(["decompose", "--coeffs", "0,0,-1", "--alpha", "1",
@@ -230,6 +254,26 @@ class TestMixture:
 
     def test_rejects_perturbed(self, capsys, perturbed_file):
         assert main(["mixture", "--measure", perturbed_file]) == 2
+
+
+class TestNonMixtureInputs:
+    """The library rejects a measure that is not a 1D Gaussian mixture; the
+    CLI turns its error into exit 2 and one line on stderr."""
+
+    @pytest.mark.parametrize("cmd, fixture, message", [
+        ("mixture", "perturbed_file", "PerturbedLogConcave1D has no posterior kernel"),
+        ("mixture", "atomic_file", "AtomicMeasure has no posterior kernel"),
+        ("mixture", "mixture2d_file", "GaussianMixture has dim 2; this kernel is 1D only"),
+        ("decompose", "perturbed_file", "PerturbedLogConcave1D has no posterior kernel"),
+        ("decompose", "atomic_file", "AtomicMeasure has no posterior kernel"),
+        ("decompose", "mixture2d_file", "mixture must be 1D, got dim 2"),
+    ])
+    def test_exit_2(self, request, tmp_path, capsys, cmd, fixture, message):
+        path = request.getfixturevalue(fixture)
+        assert main([cmd, "--measure", path, "--out", str(tmp_path / "out")]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {message}\n"
+        assert out.out == "" and not (tmp_path / "out").exists()
 
 
 class TestReverseSde:
@@ -290,6 +334,46 @@ class TestInvalidArguments:
             main(argv + ["--seed", "1"])
         assert exc.value.code == 64
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+# every subcommand's options as (flags, default, required, type, choices), in
+# the order --help lists them
+_OPTIONS = {
+    "bounds": [("--alpha", None, True, float, None), ("--lip", 0.0, False, float, None),
+               ("--t", None, True, float, None), ("--radius", 0.0, False, float, None),
+               ("--third-deriv", 0.0, False, float, None), ("--lsi-c", 1.0, False, float, None)],
+    "hessian-scan": [("--measure", None, True, None, None), ("--t", None, True, float, None),
+                     ("--z-min", None, False, float, None), ("--z-max", None, False, float, None),
+                     ("--points", 41, False, int, None)],
+    "transport": [("--measure", None, True, None, None), ("--points", 257, False, int, None),
+                  ("--samples", 20000, False, int, None), ("--seed", 0, False, int, None)],
+    "counterexample": [("--psi", "zero", False, None, ["linear", "quadratic", "zero"]),
+                       ("--coefficient", 1.0, False, float, None),
+                       ("--truncation", 60, False, int, None), ("--t", None, True, float, None),
+                       ("--target-m", None, True, float, None)],
+    "two-atom": [("--x0", None, True, float, None), ("--w0", 0.5, False, float, None),
+                 ("--w1", 0.5, False, float, None), ("--t", None, True, float, None)],
+    "decompose": [("--measure", None, False, None, None), ("--coeffs", None, False, None, None),
+                  ("--alpha", 1.0, False, float, None), ("--beta", 0.0, False, float, None),
+                  ("--radius", 0.0, False, float, None)],
+    "mixture": [("--measure", None, True, None, None), ("--x-min", None, False, float, None),
+                ("--x-max", None, False, float, None), ("--points", 101, False, int, None)],
+    "reverse-sde": [("--measure", None, True, None, None), ("--n", 20000, False, int, None),
+                    ("--steps", 400, False, int, None), ("--t1", 3.0, False, float, None),
+                    ("--seed", 0, False, int, None)],
+}
+
+
+class TestParser:
+    def test_options_per_subcommand(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(_OPTIONS)
+        for name, sp in sub.choices.items():
+            got = [(*a.option_strings, a.default, a.required, a.type,
+                    None if a.choices is None else list(a.choices))
+                   for a in sp._actions if a.option_strings and a.dest != "help"]
+            assert got == _OPTIONS[name] + [("--out", None, False, None, None)], name
 
 
 class TestDeterminism:

@@ -6,10 +6,14 @@ included, the panel kernel written as whole-array expressions before its
 temporaries were updated in place, and the mixture posterior laid out
 (n, k, d) with its einsum reductions.  The kernels in ``src/`` must
 reproduce them to rounding; the in-place panel kernel and the row blocks of
-``_tilt`` must reproduce theirs bit for bit.
+``_tilt`` must reproduce theirs bit for bit.  Far from every mixture
+component the (n, k, d) logits round alike, and the library weighs the
+components relative to the heaviest instead: such rows are checked against a
+50-digit oracle.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +141,46 @@ def _score_hessian_nkd(mu, xs):
     return sc, hess
 
 
+def _far_rows(weights, means, variances, xs):
+    """Rows whose largest logit is below -1024, where the library weighs the
+    components relative to the heaviest one rather than by rounded logits, and
+    the largest |x - m_k|^2 / (2 v_k) of each row."""
+    diff = xs[:, None, :] - means[None, :, :]
+    size = 0.5 * np.sum(diff * diff, axis=2) / variances
+    logits = np.log(weights) - 0.5 * means.shape[1] * (_LOG_2PI + np.log(variances)) - size
+    return np.max(logits, axis=1) < -1024.0, np.max(size, axis=1)
+
+
+def _posterior_mp(weights, means, variances, x, tilt=None):
+    """At one row x, in 50 digits: log-density, score, log-Hessian and, given
+    tilt = (s, t) with variances the rounded s + t, the tilted mean and covariance."""
+    with mpmath.workdps(50):
+        x = mpmath.matrix(x.tolist())
+        m = [mpmath.matrix(row.tolist()) for row in means]
+        v = [mpmath.mpf(float(q)) for q in variances]
+        logits = [mpmath.log(float(w)) - len(x) * mpmath.log(2 * mpmath.pi * q) / 2
+                  - mpmath.fsum(e * e for e in x - mk) / (2 * q) for w, mk, q in zip(weights, m, v)]
+        top = max(logits)
+        e = [mpmath.exp(q - top) for q in logits]
+        total = mpmath.fsum(e)
+        r = [q / total for q in e]
+        g = [-(x - mk) / q for mk, q in zip(m, v)]
+
+        def pooled(vecs, diag):
+            mean = sum((q * u for q, u in zip(r, vecs)), mpmath.zeros(len(x), 1))
+            cov = sum(((u - mean) * (u - mean).T * q for q, u in zip(r, vecs)),
+                      mpmath.eye(len(x)) * diag)
+            return np.array(mean.tolist(), dtype=float)[:, 0], np.array(cov.tolist(), dtype=float)
+
+        out = {"log_density": float(mpmath.log(total) + top)}
+        out["score"], out["log_hessian"] = pooled(g, -mpmath.fsum(q / u for q, u in zip(r, v)))
+        if tilt is not None:
+            s, t = [mpmath.mpf(float(q)) for q in tilt[0]], mpmath.mpf(tilt[1])
+            out["tilt"] = pooled([mk - sk * gk for mk, sk, gk in zip(m, s, g)],
+                                 mpmath.fsum(q * sk * t / u for q, sk, u in zip(r, s, v)))
+        return out
+
+
 def assert_matches(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -145,6 +189,18 @@ def assert_matches(got, want):
     fin = np.isfinite(want)
     np.testing.assert_array_equal(got[~fin], want[~fin])
     np.testing.assert_allclose(got[fin], want[fin], rtol=1e-13, atol=1e-15)
+
+
+def assert_near_exact(got, exact, size):
+    """got matches the 50-digit value of one far row to 1e-13 + 2 eps size
+    relative to the row's largest entry: there the log-odds are differences of
+    terms of the logits' size (>= 1024), known only to about eps size, and every
+    entry of a score or pooled matrix inherits that error at the scale of the
+    largest.  The (n, k, d) reference itself is off by up to 1.2 eps size."""
+    got, exact = np.asarray(got), np.asarray(exact)
+    assert got.shape == exact.shape and np.isfinite(got).all()
+    tol = (1e-13 + 2.0 * np.finfo(float).eps * size) * np.max(np.abs(exact))
+    assert np.all(np.abs(got - exact) <= tol), (got, exact)
 
 
 @st.composite
@@ -221,20 +277,33 @@ class TestMixtureKernel:
     @given(_mixture(), st.floats(-6.0, 2.0), st.sampled_from([1.0, 10.0, 1e2]))
     def test_tilt_matches_nkd(self, case, log10_t, scale):
         mu, rng = case
-        zs = scale * rng.uniform(-1.0, 1.0, (16, mu.dim))
-        for g, w in zip(_tilt(mu, zs, 10.0**log10_t), _tilt_mixture_nkd(mu, zs, 10.0**log10_t)):
-            assert_matches(g, w)
+        zs, t = scale * rng.uniform(-1.0, 1.0, (16, mu.dim)), 10.0**log10_t
+        got, want = _tilt(mu, zs, t), _tilt_mixture_nkd(mu, zs, t)
+        far, size = _far_rows(mu.weights, mu.means, mu.variances + t, zs)
+        for g, w in zip(got, want):
+            assert_matches(g[~far], w[~far])
+        for i in np.flatnonzero(far):
+            exact = _posterior_mp(mu.weights, mu.means, mu.variances + t, zs[i],
+                                  tilt=(mu.variances, t))
+            for g, w in zip(got, (exact["log_density"], *exact["tilt"])):
+                assert_near_exact(g[i], w, size[i])
 
     @settings(max_examples=200, deadline=None)
     @given(_mixture(), st.sampled_from([1.0, 10.0, 1e2]))
     def test_pointwise_evaluators_match_nkd(self, case, scale):
         mu, rng = case
         xs = scale * rng.uniform(-1.0, 1.0, (16, mu.dim))
-        sc, hess = _score_hessian_nkd(mu, xs)
-        assert_matches(log_density(mu, xs), _posterior_nkd(
-            mu.weights, mu.means, mu.variances, xs)[2])
-        assert_matches(score(mu, xs), sc)
-        assert_matches(log_hessian(mu, xs), hess)
+        got = {"log_density": log_density(mu, xs), "score": score(mu, xs),
+               "log_hessian": log_hessian(mu, xs)}
+        want = dict(zip(["score", "log_hessian"], _score_hessian_nkd(mu, xs)),
+                    log_density=_posterior_nkd(mu.weights, mu.means, mu.variances, xs)[2])
+        far, size = _far_rows(mu.weights, mu.means, mu.variances, xs)
+        for name, g in got.items():
+            assert_matches(g[~far], want[name][~far])
+        for i in np.flatnonzero(far):
+            exact = _posterior_mp(mu.weights, mu.means, mu.variances, xs[i])
+            for name, g in got.items():
+                assert_near_exact(g[i], exact[name], size[i])
 
     def test_off_diagonal_covariance_2d(self):
         # two components along the diagonal: the tilted covariance has an

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from logheat import (
     AtomicMeasure,
     CapabilityError,
+    analyze_mixture_1d,
     GaussianMixture,
     NumericalError,
     ValidationError,
@@ -302,6 +303,15 @@ class TestFarRows:
         mix = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 1.0)])
         assert log_hessian(mix, [x])[0, 0] == -1.0
         assert log_hessian(mix, [-x])[0, 0] == -1.0
+
+    @pytest.mark.parametrize("x, v", [(-3.377699720527872e16, 0.2), (-3.3776997205278716e16, 0.2),
+                                      (-1e30, 0.20000000000000004), (3.4e16, 0.20000000000000004)])
+    def test_log_hessian_far_out_unequal_variances(self, x, v):
+        # variances one ulp apart: near x = -3.4e16 the logits, about -2.8e33, round to
+        # one value, while in 50 digits N(0, 0.2) is heavier by e^(1.1e17); the wider
+        # component is the heavier left of x = -4.3e16 and right of x = 1.5
+        mix = make_gaussian_mixture([(0.5, [0.0], 0.2), (0.5, [3.0], 0.20000000000000004)])
+        assert log_hessian(mix, [x])[0, 0] == -1.0 / v
 
     def test_far_apart_components(self):
         # the component at 1e299 has weight 0 at x = 0: every evaluator gives
@@ -721,3 +731,22 @@ class TestKernelLookup:
                 call(measure)
         else:
             call(measure)
+
+    @pytest.mark.parametrize("family", ["atomic", "perturbed", "counterexample"])
+    def test_mixture_only_calls(self, family):
+        # the mixture curvature bound and its analysis need the posterior kernel
+        measure = _FAMILIES[family]()
+        name = type(measure).__name__
+        with pytest.raises(CapabilityError, match=f"^{name} has no posterior kernel$"):
+            mixture_hessian_lower(measure, [0.5])
+        with pytest.raises(CapabilityError, match=f"^{name} has no posterior kernel$"):
+            analyze_mixture_1d(measure)
+
+    @pytest.mark.parametrize("measure", [
+        standard_gaussian(2),
+        AtomicMeasure(dim=2, weights=np.array([0.5, 0.5]), locations=np.array([[0, 1], [2, 3]])),
+    ], ids=["mixture", "atomic"])
+    def test_one_d_kernels_name_the_dim(self, measure):
+        name = type(measure).__name__
+        with pytest.raises(CapabilityError, match=f"^{name} has dim 2; this kernel is 1D only$"):
+            mean_variance_1d(measure)

@@ -270,6 +270,8 @@ class TestCrossovers:
     @example([(1.0, 0.0, 1.0), (0.5, 5e-324, 1.0)])
     # equal variances, means 1e-54 apart: the scores are equal to 53 digits far out
     @example([(0.3, 0.0, 1.0), (0.5, 1e-54, 1.0), (0.2, 2.5e-54, 1.0)])
+    # variances one ulp apart: far out the logits round alike, 1.1e17 apart in 50 digits
+    @example([(1.0, 0.0, 0.2), (1.0, 3.0, 0.20000000000000004)])
     @given(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-4.0, 4.0), st.floats(0.2, 2.0)),
                     min_size=2, max_size=3))
     def test_certificate_holds_through_crossovers(self, comps):
