@@ -202,15 +202,70 @@ def _points(measure, x) -> tuple[np.ndarray, bool]:
     return zs, single
 
 
+def _two_sum(a, b):
+    """fl(a + b) and its rounding error e: s + e = a + b exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_prod(a, b):
+    """fl(a b) and its rounding error e: p + e = a b exactly unless e underflows (Dekker's
+    split, of the mantissas lest it overflow)."""
+    p = a * b
+    (fa, ea), (fb, eb) = np.frexp(a), np.frexp(b)
+    ca, cb = 134217729.0 * fa, 134217729.0 * fb  # 2^27 + 1
+    ah, bh = ca - (ca - fa), cb - (cb - fb)
+    al, bl = fa - ah, fb - bh
+    e = ea + eb
+    return p, np.ldexp(((ah * bh - np.ldexp(p, -e)) + ah * bl + al * bh) + al * bl, e)
+
+
+def _dd_div(hi, lo, v):
+    """(hi + lo) / v as a double-double: the remainder hi - q v is exact, q v within an ulp of hi."""
+    q = hi / v
+    qv, qv_err = _two_prod(q, v)
+    return q, ((hi - qv) - qv_err + lo) / v
+
+
+def _far_log_odds(log_w, means, v, x, p):
+    """l_k - l_p (k, n) of the logits l = log(w N(x; m, v I)) at points x (d, n) relative to
+    component p (n,), variances v (k, n): log(w_k/w_p) - (d/2) log(v_k/v_p) - (S_k + M_k)/2,
+    S_k = |dm_k|^2/v_k (v_p - v_k)/v_p and M_k = <m_k - m_p, dm_k + dm_p>/v_p, dm = m - x.
+    S and M are summed in double-double: near a crossover far out they nearly cancel."""
+    cols = np.arange(p.size)
+    vp = v[p, cols]
+    sq = sq_lo = dot = dot_lo = 0.0
+    for mj, xj in zip(means.T, x):
+        dh, dl = _two_sum(mj[:, None], -xj)  # dm_j exactly
+        ah, al = _two_sum(mj[:, None], -mj[p])  # m_kj - m_pj exactly
+        bh, bl = _two_sum(dh, dh[p, cols])
+        bl = bl + dl + dl[p, cols]  # dm_kj + dm_pj
+        t, t_err = _two_prod(dh, dh)
+        sq, err = _two_sum(sq, t)
+        sq_lo = sq_lo + err + t_err + (2.0 * dh + dl) * dl
+        t, t_err = _two_prod(ah, bh)
+        dot, err = _two_sum(dot, t)
+        dot_lo = dot_lo + err + t_err + ah * bl + al * bh
+    qh, ql = _dd_div(sq, sq_lo, v)
+    rh, rl = _dd_div(*_two_sum(vp, -v), vp)  # (v_p - v_k)/v_p
+    sh, sl = _two_prod(qh, rh)
+    mh, ml = _dd_div(dot, dot_lo, vp)
+    total, err = _two_sum(sh, mh)
+    total_lo = err + (sl + qh * rl + ql * rh) + ml
+    log_v = np.log(v)
+    return (log_w[:, None] - log_w[p] - 0.5 * means.shape[1] * (log_v - log_v[p, cols])
+            - 0.5 * (total + total_lo))
+
+
 def _mixture_posterior(log_w, means, v, xs):
     """Logits log(w_k N(x; m_k, v_k I)) (k, n), responsibilities (k, n), scores -(x - m_k)/v_k
     (k, d, n) and log-density (n,) at each row x of xs, for log-weights (k,), means (k, d)
     and variances (k,) or (k, n), components first: each sum over them adds whole rows.  A
     component of weight 0, as one whose logit overflows, adds nothing: its score is set to 0
     if it overflows; a point where every logit overflows raises NumericalError.  Far from every
-    component the logits round alike, so each component takes its logit relative to the heaviest
-    one's (p): l_k - l_p = log(w_k/w_p) - (d/2) log(v_k/v_p) - |dm_k|^2 (v_p - v_k)/(2 v_k v_p)
-    - <m_k - m_p, dm_k + dm_p>/(2 v_p), dm = m - x, where no |x - m|^2 of one cancels another's."""
+    component the logits, of size >= 1024, round alike: there the responsibilities come from the
+    log-odds against the heaviest component, ``_far_log_odds``."""
     v = v.reshape(log_w.size, -1)
     dm = means[:, :, None] - xs.T[None, :, :]
     with np.errstate(over="ignore"):
@@ -229,16 +284,12 @@ def _mixture_posterior(log_w, means, v, xs):
     d = logits - m
     if lowest < -1024.0:  # rows far from every component, relative to its width
         far = np.flatnonzero(m < -1024.0)
-        p, vf, dmf = np.argmax(d[:, far], axis=0), np.broadcast_to(v, d.shape)[:, far], dm[..., far]
-        vp = vf[p, np.arange(far.size)]
+        p, vf = np.argmax(d[:, far], axis=0), np.broadcast_to(v, d.shape)[:, far]
         with np.errstate(over="ignore", invalid="ignore"):
-            # |dm_k|^2 (v_p - v_k)/(v_k v_p), scaled before squaring lest |dm|^2 overflow
-            spread = np.sum(dmf * ((vp - vf) / vf / vp)[:, None] * dmf, axis=1)
-            rel = (log_w[:, None] - log_w[p] - 0.5 * means.shape[1] * (np.log(vf) - np.log(vp))
-                   - 0.5 * spread
-                   - np.sum((means[:, :, None] - means[p].T) * (dmf + dm[p, :, far].T), axis=1)
-                   / (2.0 * vp))
-        rel = np.where(np.isfinite(logits[:, far]), rel, -math.inf)  # overflowed: weight 0
+            rel = _far_log_odds(log_w, means, vf, xs[far].T, p)
+        # no finite rel where the logit overflowed (weight 0) or a term did, as m_k - m_p
+        # can: these keep their rounded logits
+        rel = np.where(np.isfinite(rel), rel, d[:, far])
         d[:, far] = rel - np.max(rel, axis=0)  # p, by rounded logits, may not be the heaviest
     e = np.exp(d)
     total = np.sum(e, axis=0)

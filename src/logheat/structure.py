@@ -119,27 +119,36 @@ def lemma4_decompose(
                          lip_cert=lip_cert, grid=grid)
 
 
-def _search_points(mixture: GaussianMixture) -> tuple[np.ndarray, float]:
+def _search_points(mixture: GaussianMixture) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Where ``analyze_mixture_1d`` evaluates the curvature bound, and the step:
     a grid of step sigma_max/50 over the means' span plus 20 sigma_max, and +-4
     sigma_max about each root of 2(l_i - l_j) = a x^2 + b x + c, l_k = log(w_k N(x;
-    m_k, v_k)): the curvature dips where a wider component overtakes a narrower."""
+    m_k, v_k)): the curvature dips where a wider component overtakes a narrower.
+    Last, where the floats about a root are coarser than step/64, too coarse for its
+    window, the window's outer end, past the root's rounding, and the depth of the
+    pair's dip there, (g_i - g_j)^2/4 = disc/16."""
     m, v, w = mixture.means[:, 0], mixture.variances, mixture.weights
     sigma_max = float(np.sqrt(np.max(v)))
     step = sigma_max / 50.0
     xs = np.arange(0.0, float(np.max(np.abs(m))) + 20.0 * sigma_max + step, step)
     i, j = np.triu_indices(w.size, 1)
-    a, b = 1.0 / v[j] - 1.0 / v[i], 2.0 * (m[i] / v[i] - m[j] / v[j])
+    # 1/v_j - 1/v_i without cancellation: v_i - v_j is exact where the variances are close
+    a, b = (v[i] - v[j]) / (v[i] * v[j]), 2.0 * (m[i] / v[i] - m[j] / v[j])
     c = m[j] ** 2 / v[j] - m[i] ** 2 / v[i] + 2.0 * np.log(w[i] / w[j]) - np.log(v[i] / v[j])
     disc = b * b - 4.0 * a * c
     q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))  # no cancellation
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a = 0 or q = 0: no root
-        roots = np.concatenate([q / a, c / q])[np.tile(disc >= 0, 2)]
+        roots = np.concatenate([q / a, c / q])
+    dips = np.tile(disc / 16.0, 2)
     # a root at |x| >= 1e150 belongs to an equal-variance pair (a = 0, root -c/b with
     # b = 2 dm/v) with dm <~ |c| v 1e-150; its scores differ by dm/v everywhere, so it
     # lowers the curvature by at most (dm/v)^2/4 < 1e-300 c^2, and a window would overflow
-    windows = roots[np.abs(roots) < 1e150, None] + step * np.arange(-200, 201)
-    return np.concatenate([-xs[:0:-1], xs, windows.ravel()]), step
+    keep = np.tile(disc >= 0, 2) & (np.abs(roots) < 1e150)
+    roots, dips = roots[keep], dips[keep]
+    coarse = np.spacing(np.abs(roots)) > step / 64.0
+    ends = np.abs(roots[coarse]) * (1.0 + 16.0 * np.finfo(float).eps) + 4.0 * sigma_max
+    windows = roots[:, None] + step * np.arange(-200, 201)
+    return np.concatenate([-xs[:0:-1], xs, windows.ravel()]), step, ends, dips[coarse]
 
 
 def _refine_minima(mixture: GaussianMixture, xs: np.ndarray, vals: np.ndarray, step: float,
@@ -175,16 +184,18 @@ def analyze_mixture_1d(
     each of their strict local minima below 3K/4; beta covers the worst dip
     inside.  The default radius_cap is the search points' extent.
     """
-    _kernel(mixture, "_posterior")  # a CapabilityError for any other family
+    # a CapabilityError for any other family, before .variances below can raise
+    # AttributeError; mixture_hessian_lower, called later, looks it up again
+    _kernel(mixture, "_posterior")
     if mixture.dim != 1:
         raise ValidationError(f"mixture must be 1D, got dim {mixture.dim}")
     K = 1.0 / float(np.max(mixture.variances))
     if mixture.weights.size == 1:
         return MixtureAnalysis(alpha=K, lip=0.0, radius=0.0, beta=0.0)
 
-    xs, step = _search_points(mixture)
+    xs, step, coarse, dips = _search_points(mixture)
     sigma_max = float(np.sqrt(np.max(mixture.variances)))
-    half = float(np.max(np.abs(xs)))
+    half = float(np.max(np.abs(np.concatenate([xs, coarse]))))
     if radius_cap is None:
         radius_cap = half
     # cross terms decay exponentially away from the crossovers; the four
@@ -196,7 +207,8 @@ def analyze_mixture_1d(
     target = 0.5 * K
     # refine the dips that reach below K/2 plus a margin of K/4
     rx, rv = _refine_minima(mixture, xs, vals, step, 0.75 * K)
-    xs, vals = np.concatenate([xs, rx]), np.concatenate([vals, rv])
+    # about a crossover the floats cannot resolve, the bound at r_i = r_j = 1/2
+    xs, vals = np.concatenate([xs, rx, coarse]), np.concatenate([vals, rv, K - dips])
     bad = np.abs(xs)[vals < target]
     if bad.size == 0:
         radius = 0.0

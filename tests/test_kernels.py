@@ -9,7 +9,7 @@ reproduce them to rounding; the in-place panel kernel and the row blocks of
 ``_tilt`` must reproduce theirs bit for bit.  Far from every mixture
 component the (n, k, d) logits round alike, and the library weighs the
 components relative to the heaviest instead: such rows are checked against a
-50-digit oracle.
+50-digit oracle, to the same tolerance.
 """
 import math
 
@@ -143,12 +143,11 @@ def _score_hessian_nkd(mu, xs):
 
 def _far_rows(weights, means, variances, xs):
     """Rows whose largest logit is below -1024, where the library weighs the
-    components relative to the heaviest one rather than by rounded logits, and
-    the largest |x - m_k|^2 / (2 v_k) of each row."""
+    components by their log-odds against the heaviest, not by rounded logits."""
     diff = xs[:, None, :] - means[None, :, :]
-    size = 0.5 * np.sum(diff * diff, axis=2) / variances
-    logits = np.log(weights) - 0.5 * means.shape[1] * (_LOG_2PI + np.log(variances)) - size
-    return np.max(logits, axis=1) < -1024.0, np.max(size, axis=1)
+    logits = (np.log(weights) - 0.5 * means.shape[1] * (_LOG_2PI + np.log(variances))
+              - 0.5 * np.sum(diff * diff, axis=2) / variances)
+    return np.max(logits, axis=1) < -1024.0
 
 
 def _posterior_mp(weights, means, variances, x, tilt=None):
@@ -189,18 +188,6 @@ def assert_matches(got, want):
     fin = np.isfinite(want)
     np.testing.assert_array_equal(got[~fin], want[~fin])
     np.testing.assert_allclose(got[fin], want[fin], rtol=1e-13, atol=1e-15)
-
-
-def assert_near_exact(got, exact, size):
-    """got matches the 50-digit value of one far row to 1e-13 + 2 eps size
-    relative to the row's largest entry: there the log-odds are differences of
-    terms of the logits' size (>= 1024), known only to about eps size, and every
-    entry of a score or pooled matrix inherits that error at the scale of the
-    largest.  The (n, k, d) reference itself is off by up to 1.2 eps size."""
-    got, exact = np.asarray(got), np.asarray(exact)
-    assert got.shape == exact.shape and np.isfinite(got).all()
-    tol = (1e-13 + 2.0 * np.finfo(float).eps * size) * np.max(np.abs(exact))
-    assert np.all(np.abs(got - exact) <= tol), (got, exact)
 
 
 @st.composite
@@ -279,14 +266,14 @@ class TestMixtureKernel:
         mu, rng = case
         zs, t = scale * rng.uniform(-1.0, 1.0, (16, mu.dim)), 10.0**log10_t
         got, want = _tilt(mu, zs, t), _tilt_mixture_nkd(mu, zs, t)
-        far, size = _far_rows(mu.weights, mu.means, mu.variances + t, zs)
+        far = _far_rows(mu.weights, mu.means, mu.variances + t, zs)
         for g, w in zip(got, want):
             assert_matches(g[~far], w[~far])
         for i in np.flatnonzero(far):
             exact = _posterior_mp(mu.weights, mu.means, mu.variances + t, zs[i],
                                   tilt=(mu.variances, t))
             for g, w in zip(got, (exact["log_density"], *exact["tilt"])):
-                assert_near_exact(g[i], w, size[i])
+                assert_matches(g[i], w)
 
     @settings(max_examples=200, deadline=None)
     @given(_mixture(), st.sampled_from([1.0, 10.0, 1e2]))
@@ -297,13 +284,13 @@ class TestMixtureKernel:
                "log_hessian": log_hessian(mu, xs)}
         want = dict(zip(["score", "log_hessian"], _score_hessian_nkd(mu, xs)),
                     log_density=_posterior_nkd(mu.weights, mu.means, mu.variances, xs)[2])
-        far, size = _far_rows(mu.weights, mu.means, mu.variances, xs)
+        far = _far_rows(mu.weights, mu.means, mu.variances, xs)
         for name, g in got.items():
             assert_matches(g[~far], want[name][~far])
         for i in np.flatnonzero(far):
             exact = _posterior_mp(mu.weights, mu.means, mu.variances, xs[i])
             for name, g in got.items():
-                assert_near_exact(g[i], exact[name], size[i])
+                assert_matches(g[i], exact[name])
 
     def test_off_diagonal_covariance_2d(self):
         # two components along the diagonal: the tilted covariance has an

@@ -294,7 +294,7 @@ class TestFarMixturePoints:
 
 class TestFarRows:
     """Far from every component the logits are huge and round alike; the
-    components of one variance are then weighted relative to the heaviest.
+    components are then weighted by their log-odds against the heaviest.
     A component of weight 0 adds nothing, even where its score overflows."""
 
     @pytest.mark.parametrize("x", [1e17, 1e18, 1e30, 1e100, 1.3e154])
@@ -312,6 +312,14 @@ class TestFarRows:
         # component is the heavier left of x = -4.3e16 and right of x = 1.5
         mix = make_gaussian_mixture([(0.5, [0.0], 0.2), (0.5, [3.0], 0.20000000000000004)])
         assert log_hessian(mix, [x])[0, 0] == -1.0 / v
+
+    @pytest.mark.parametrize("x, want", [(-4.323455642275676e16, -4.9999999999999997224),
+                                         (-4.323455642275677e16, -4.9999999999999873836)])
+    def test_log_hessian_at_a_far_crossover(self, x, want):
+        # the two components cross between these floats, at x = -4.3234556422756765e16:
+        # their log-odds, -82.5 and 37.5 in 60 digits, are sums of two terms of 1.3e18
+        mix = make_gaussian_mixture([(0.5, [0.0], 0.2), (0.5, [3.0], 0.20000000000000004)])
+        assert log_hessian(mix, [x])[0, 0] == pytest.approx(want, rel=1e-13)
 
     def test_far_apart_components(self):
         # the component at 1e299 has weight 0 at x = 0: every evaluator gives

@@ -27,8 +27,8 @@ def _analyze_pointwise(mixture, radius_cap=None):
     """analyze_mixture_1d with one mixture_hessian_lower call per search point."""
     K = 1.0 / float(np.max(mixture.variances))
     sigma_max = float(np.sqrt(np.max(mixture.variances)))
-    xs, step = _search_points(mixture)
-    half = float(np.max(np.abs(xs)))
+    xs, step, coarse, dips = _search_points(mixture)
+    half = float(np.max(np.abs(np.concatenate([xs, coarse]))))
     if radius_cap is None:
         radius_cap = half
     refined = lambda x: float(mixture_hessian_lower(mixture, [x])[0][0, 0])
@@ -47,7 +47,7 @@ def _analyze_pointwise(mixture, radius_cap=None):
             sub_x += list(pts)
             sub_v += v
             centre, h = pts[int(np.argmin(v))], h / 8.0
-    xs, vals = np.concatenate([xs, sub_x]), np.concatenate([vals, sub_v])
+    xs, vals = np.concatenate([xs, sub_x, coarse]), np.concatenate([vals, sub_v, K - dips])
     bad = np.abs(xs)[vals < 0.5 * K]
     radius = float(np.max(bad)) + step if bad.size else 0.0
     if radius > radius_cap:
@@ -212,7 +212,8 @@ def _crossover_roots(mixture):
     roots = []
     for i in range(w.size):
         for j in range(i):
-            coef = [1 / (2 * v[j]) - 1 / (2 * v[i]), m[i] / v[i] - m[j] / v[j], c[i] - c[j]]
+            # 1/(2v_j) - 1/(2v_i) would cancel for variances an ulp apart
+            coef = [(v[i] - v[j]) / (2 * v[i] * v[j]), m[i] / v[i] - m[j] / v[j], c[i] - c[j]]
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     found = np.roots(coef)
@@ -261,6 +262,17 @@ class TestCrossovers:
         assert analyze_mixture_1d(g, radius_cap=100.0) == res
         assert _certificate_slack(g, res) >= -1e-9
 
+    def test_crossover_between_floats(self):
+        # variances one ulp apart: the components cross at x = 1.5 and again at
+        # x = -4.3234556422756765e16, where floats are 8 apart and -(log p)''
+        # dips to 5 - 15^2/4 = -51.25 between two of them: the radius must pass it
+        g = make_gaussian_mixture([(0.5, [0.0], 0.2), (0.5, [3.0], 0.20000000000000004)])
+        res = analyze_mixture_1d(g)
+        assert isinstance(res, MixtureAnalysis)
+        assert res.radius > 4.3234556422756765e16
+        assert res.beta >= 51.24
+        assert isinstance(analyze_mixture_1d(g, radius_cap=1e3), Infeasible)
+
     @settings(max_examples=150, deadline=None)
     # a dip between grid points; responsibilities far out; crossovers at 1e272
     # and past the float range
@@ -270,7 +282,7 @@ class TestCrossovers:
     @example([(1.0, 0.0, 1.0), (0.5, 5e-324, 1.0)])
     # equal variances, means 1e-54 apart: the scores are equal to 53 digits far out
     @example([(0.3, 0.0, 1.0), (0.5, 1e-54, 1.0), (0.2, 2.5e-54, 1.0)])
-    # variances one ulp apart: far out the logits round alike, 1.1e17 apart in 50 digits
+    # variances one ulp apart: the components cross again at x = -4.3e16, between floats
     @example([(1.0, 0.0, 0.2), (1.0, 3.0, 0.20000000000000004)])
     @given(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-4.0, 4.0), st.floats(0.2, 2.0)),
                     min_size=2, max_size=3))
