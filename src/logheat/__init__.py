@@ -45,7 +45,6 @@ from .measures import (
     CounterexampleMeasure,
     GaussianMixture,
     PerturbedLogConcave1D,
-    PiecewiseLinear,
     cdf_1d,
     convolve_gaussian,
     dilate,

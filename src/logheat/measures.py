@@ -132,60 +132,6 @@ def _panel_moments(C, B, A, edges):
 
 
 # ---------------------------------------------------------------------------
-# piecewise-linear functions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Continuous piecewise-linear function anchored to value 0 at x=0."""
-
-    knots: np.ndarray
-    slopes: np.ndarray
-    knot_values: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        knots = np.atleast_1d(np.asarray(self.knots, dtype=float))
-        slopes = np.atleast_1d(np.asarray(self.slopes, dtype=float))
-        if knots.size + 1 != slopes.size:
-            raise ValidationError("need len(slopes) == len(knots) + 1")
-        if knots.size and np.any(np.diff(knots) <= 0):
-            raise ValidationError("knots must be strictly increasing")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "slopes", slopes)
-        kv = np.zeros(knots.size)
-        if knots.size:
-            # value at each knot relative to the first, then anchored so that
-            # f(0) = 0 through the segment holding 0
-            kv_rel = np.concatenate([[0.0], np.cumsum(slopes[1:-1] * np.diff(knots))])
-            j0 = int(np.searchsorted(knots, 0.0, side="right"))
-            j = max(j0 - 1, 0)
-            kv = kv_rel - (kv_rel[j] + slopes[j0] * (0.0 - knots[j]))
-        object.__setattr__(self, "knot_values", kv)
-
-    def segment_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-segment (a_j, b_j) with f(x) = a_j + b_j x on segment j: each
-        segment is anchored at its left knot, the first at the first knot."""
-        b = self.slopes.copy()
-        if not self.knots.size:
-            return np.zeros(1), b
-        kv, k = self.knot_values, self.knots
-        return np.concatenate([kv[:1], kv]) - b * np.concatenate([k[:1], k]), b
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.knots.size == 0:
-            return self.slopes[0] * x
-        idx = np.searchsorted(self.knots, x, side="right")
-        a, b = self.segment_coeffs()
-        return a[idx] + b[idx] * x
-
-    def slope_at(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.knots, x, side="right")
-        return self.slopes[idx]
-
-
-# ---------------------------------------------------------------------------
 # helpers shared by the family kernels
 # ---------------------------------------------------------------------------
 
@@ -327,6 +273,11 @@ def _quantile_grid(measure, u: np.ndarray) -> np.ndarray:
     return np.interp(u, cdf, xs)
 
 
+def _density_quantile(measure, u: np.ndarray) -> np.ndarray:
+    """``_quantile_grid``, with the ends of the support, -inf and inf, at u = 0 and 1."""
+    return np.where(u == 0.0, -math.inf, np.where(u == 1.0, math.inf, _quantile_grid(measure, u)))
+
+
 # ---------------------------------------------------------------------------
 # measure classes and their kernels: _tilt(zs, t) gives (log_mass (n,), mean
 # (n, d), cov (n, d, d)) of mu_{z,t} at (n, d) points zs, with t a float or one
@@ -389,7 +340,7 @@ class _Finite:
             order = np.argsort(c)
             return c[order][np.minimum(np.searchsorted(np.cumsum(w[order]), u), c.size - 1)]
         if w.size > 1:
-            return _quantile_grid(self, u)
+            return _density_quantile(self, u)
         from scipy.special import ndtri
 
         return float(c[0]) + math.sqrt(float(s[0])) * ndtri(u)
@@ -451,13 +402,13 @@ class GaussianMixture(_Finite):
         # order of the (n, k, d) layout; -1/v @ r sums it in another order
         diag = np.ascontiguousarray(r.T) @ (-1.0 / self.variances)
         # scores pooled about each row's heaviest component p, with g_k - g_p =
-        # x (1/v_p - 1/v_k) + m_k/v_k - m_p/v_p: exact for v_k = v_p, where far
-        # out the scores themselves are equal huge numbers; m/v may overflow
+        # (m_k - m_p)/v_k + (m_p - x)(1/v_k - 1/v_p): exact for v_k = v_p, where far
+        # out the scores themselves are equal huge numbers, and no m/v is formed
         p, iv = np.argmax(r, axis=0), 1.0 / self.variances
         with np.errstate(over="ignore", invalid="ignore"):
-            mv = self.means * iv[:, None]
-            dg = zs.T * (iv[p] - iv[:, None])[:, None, :] + (mv[:, :, None] - mv[p].T)
-        dg[p, :, np.arange(p.size)] = 0.0  # as computed wherever m_p/v_p is finite
+            dg = ((self.means[:, :, None] - self.means[p].T) * iv[:, None, None]
+                  + (self.means[p] - zs).T * (iv[:, None] - iv[p])[:, None, :])
+        dg[p, :, np.arange(p.size)] = 0.0  # as computed wherever m_p - x is finite
         if not r.all():  # components of weight 0 add nothing
             np.copyto(dg, 0.0, where=(r == 0)[:, None])
         return _pool(r, dg, diag)[1].transpose(2, 0, 1)
@@ -508,59 +459,39 @@ class AtomicMeasure(_Finite):
 
 @dataclass(frozen=True)
 class PerturbedLogConcave1D:
-    """Density proportional to exp(-(alpha/2) x^2 - V_extra(x) - H(x)).
-
-    ``V_extra`` is convex piecewise linear (nondecreasing knot slopes) and
-    ``H`` is piecewise linear with slopes bounded by ``lip``.
-    """
+    """Density exp(-W(x) - log_normalizer) with W(x) = (alpha/2) x^2 + panel_a[p] +
+    panel_b[p] x on panel p, from ``panel_edges[p]`` to ``panel_edges[p + 1]``; the edges run
+    from -inf to inf.  ``make_perturbed`` builds it from V_extra and H."""
 
     alpha: float
-    v_extra: PiecewiseLinear
-    h: PiecewiseLinear
     lip: float
+    panel_edges: np.ndarray  # (P + 1,)
+    panel_a: np.ndarray      # (P,)
+    panel_b: np.ndarray      # (P,)
     dim: int = 1
     log_normalizer: float = field(init=False)
-    panel_edges: np.ndarray = field(init=False, repr=False)
-    panel_a: np.ndarray = field(init=False, repr=False)
-    panel_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise ValidationError("alpha must be positive")
-        if self.lip < 0:
+        if not self.lip >= 0:
             raise ValidationError("lip must be nonnegative")
-        if np.any(np.diff(self.v_extra.slopes) < -1e-12):
-            raise ValidationError("V_extra must be convex (nondecreasing slopes)")
-        if np.any(np.abs(self.h.slopes) > self.lip + 1e-12):
-            raise ValidationError("H slopes must be bounded by lip")
-        knots = np.unique(np.concatenate([self.v_extra.knots, self.h.knots]))
-        edges = np.concatenate([[-np.inf], knots, [np.inf]])
-        # combined linear part a_p + b_p x of V_extra + H on each panel,
-        # sampled at panel midpoints
-        mids = np.concatenate([knots[:1] - 1.0, 0.5 * (knots[:-1] + knots[1:]), knots[-1:] + 1.0]
-                              ) if knots.size else np.zeros(1)
-        av, bv = self.v_extra.segment_coeffs()
-        ah, bh = self.h.segment_coeffs()
-        iv = np.searchsorted(self.v_extra.knots, mids, side="right")
-        ih = np.searchsorted(self.h.knots, mids, side="right")
-        a = av[iv] + ah[ih]
-        b = bv[iv] + bh[ih]
-        object.__setattr__(self, "panel_edges", edges)
-        object.__setattr__(self, "panel_a", a)
-        object.__setattr__(self, "panel_b", b)
-        logZ, _, _ = _panel_moments(self.alpha, -b, -a, edges)
-        if not np.isfinite(logZ):
+        for name in ("panel_edges", "panel_a", "panel_b"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        edges, a, b = self.panel_edges, self.panel_a, self.panel_b
+        if not (edges.ndim == 1 and a.size >= 1 and a.shape == b.shape == (edges.size - 1,)):
+            raise ValidationError("need one panel_a and one panel_b per panel between panel_edges")
+        with np.errstate(all="ignore"):  # panels that fail the checks below may warn
+            logZ = float(_panel_moments(self.alpha, -b, -a, edges)[0])
+        # first, so that a make_perturbed potential that overflows, or holds inf or NaN,
+        # is reported as not normalizable
+        if not math.isfinite(logZ):
             raise ValidationError("density is not normalizable")
-        object.__setattr__(self, "log_normalizer", float(logZ))
-
-    def potential(self, x):
-        """W(x) with density = exp(-W(x) - log_normalizer)."""
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.alpha * x * x + self.v_extra(x) + self.h(x)
-
-    def potential_slope(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.alpha * x + self.v_extra.slope_at(x) + self.h.slope_at(x)
+        if not (edges[0] == -math.inf and edges[-1] == math.inf and np.all(np.diff(edges) > 0)):
+            raise ValidationError("panel_edges must increase strictly from -inf to inf")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValidationError("panel_a and panel_b must be finite")
+        object.__setattr__(self, "log_normalizer", logZ)
 
     def _tilt(self, zs, t):
         """Closed-form truncated-Gaussian moments on each panel of the density."""
@@ -572,34 +503,30 @@ class PerturbedLogConcave1D:
         return log_mass, mean[:, None], var[:, None, None]
 
     def _log_density(self, zs):
-        return -self.potential(zs[:, 0]) - self.log_normalizer
+        x = zs[:, 0]
+        p = np.searchsorted(self.panel_edges, x, side="right") - 1  # at an edge, the right panel
+        return -(0.5 * self.alpha * x * x + (self.panel_a[p] + self.panel_b[p] * x)
+                 ) - self.log_normalizer
 
     def _score(self, zs):
-        return -self.potential_slope(zs)
+        p = np.searchsorted(self.panel_edges, zs[:, 0], side="right") - 1
+        return -(self.alpha * zs + self.panel_b[p][:, None])
 
     def _log_hessian(self, zs):
         return np.full((zs.shape[0], 1, 1), -self.alpha)
 
     def _dilate(self, c):
-        # cX has potential W(y/c): knots and edges scale by c, slopes by 1/c, alpha by
-        # 1/c^2 (kept positive and finite, as are the slopes squared by a tilt); knot
-        # values and panel offsets are kept, and the normalizing integral gains a factor c
+        # cX has potential W(y/c): edges scale by c, slopes by 1/c, alpha by 1/c^2 (kept
+        # positive and finite, as are the slopes squared by a tilt); the offsets are
+        # kept, and the normalizing integral gains a factor c
         c = float(c)  # Python floats overflow to inf without a warning
         cc, b = c * c, max(abs(x) for x in self.panel_b.tolist()) / c
         if not (cc > 0 and 0 < float(self.alpha) / cc < math.inf and b * b < math.inf):
             raise ValidationError(f"dilation by {c!r} takes the density's precision alpha/c^2 "
                                   "or its squared panel slopes out of the float range")
-        v, h = self.v_extra, self.h
-        return _with_fields(
-            self,
-            alpha=self.alpha / cc,
-            v_extra=_with_fields(v, knots=v.knots * c, slopes=v.slopes / c),
-            h=_with_fields(h, knots=h.knots * c, slopes=h.slopes / c),
-            lip=self.lip / c,
-            log_normalizer=self.log_normalizer + math.log(c),
-            panel_edges=self.panel_edges * c,
-            panel_b=self.panel_b / c,
-        )
+        return _with_fields(self, alpha=self.alpha / cc, lip=self.lip / c,
+                            panel_edges=self.panel_edges * c, panel_b=self.panel_b / c,
+                            log_normalizer=self.log_normalizer + math.log(c))
 
     def _mean_variance(self):
         _, mean, var = _panel_moments(self.alpha, -self.panel_b, -self.panel_a, self.panel_edges)
@@ -619,10 +546,11 @@ class PerturbedLogConcave1D:
         return np.clip(below[k] + np.exp(log_scale[k] + part), 0.0, 1.0)
 
     def _quantile(self, u):
-        return _quantile_grid(self, u)
+        return _density_quantile(self, u)
 
     def _sample(self, rng, n):
-        return self._quantile(rng.uniform(size=n))[:, None]
+        # the table's ends where rng.uniform gives exactly 0: samples stay finite
+        return _quantile_grid(self, rng.uniform(size=n))[:, None]
 
 
 @dataclass(frozen=True)
@@ -717,11 +645,47 @@ def make_perturbed(
     h_slopes: Sequence[float] = (0.0,),
     lip: float | None = None,
 ) -> PerturbedLogConcave1D:
-    v = PiecewiseLinear(np.asarray(v_knots, float), np.asarray(v_slopes, float))
-    h = PiecewiseLinear(np.asarray(h_knots, float), np.asarray(h_slopes, float))
-    if lip is None:
-        lip = float(np.max(np.abs(h.slopes)))
-    return PerturbedLogConcave1D(alpha=float(alpha), v_extra=v, h=h, lip=float(lip))
+    """The density proportional to exp(-(alpha/2) x^2 - V_extra(x) - H(x)), V_extra and H
+    continuous, piecewise linear and 0 at x = 0, each with strictly increasing knots and one
+    slope more: V_extra convex, and H with slopes bounded by ``lip`` (by default the largest
+    |h_slopes|).  The one place that checks this split; the density keeps only its panels."""
+    (vk, vs), (hk, hs) = pieces = [
+        (np.atleast_1d(np.asarray(k, float)), np.atleast_1d(np.asarray(s, float)))
+        for k, s in ((v_knots, v_slopes), (h_knots, h_slopes))]
+    for knots, slopes in pieces:
+        if knots.size + 1 != slopes.size:
+            raise ValidationError("need len(slopes) == len(knots) + 1")
+        if knots.size and np.any(np.diff(knots) <= 0):
+            raise ValidationError("knots must be strictly increasing")
+    alpha = float(alpha)
+    lip = float(np.max(np.abs(hs))) if lip is None else float(lip)
+    if np.any(np.diff(vs) < -1e-12):
+        raise ValidationError("V_extra must be convex (nondecreasing slopes)")
+    if lip >= 0 and np.any(np.abs(hs) > lip + 1e-12):  # the class reports a lip below 0
+        raise ValidationError("H slopes must be bounded by lip")
+    # the linear part a_p + b_p x of V_extra + H on each panel between the knots of
+    # either: the segments of each to the right of the panel's left edge
+    edges = np.concatenate([[-np.inf], np.unique(np.concatenate([vk, hk])), [np.inf]])
+    (av, bv), (ah, bh) = _segments(vk, vs), _segments(hk, hs)
+    iv = np.searchsorted(vk, edges[:-1], side="right")
+    ih = np.searchsorted(hk, edges[:-1], side="right")
+    return PerturbedLogConcave1D(alpha=alpha, lip=lip, panel_edges=edges,
+                                 panel_a=av[iv] + ah[ih], panel_b=bv[iv] + bh[ih])
+
+
+def _segments(knots, slopes):
+    """Per-segment (a_j, b_j) with f(x) = a_j + b_j x on segment j of the continuous
+    piecewise-linear f with these knots and slopes, anchored to f(0) = 0: each segment
+    is written from its left knot, the first from the first knot."""
+    if not knots.size:
+        return np.zeros(1), slopes
+    # value at each knot relative to the first, then anchored so that f(0) = 0
+    # through the segment holding 0
+    kv = np.concatenate([[0.0], np.cumsum(slopes[1:-1] * np.diff(knots))])
+    j0 = int(np.searchsorted(knots, 0.0, side="right"))
+    j = max(j0 - 1, 0)
+    kv = kv - (kv[j] + slopes[j0] * (0.0 - knots[j]))
+    return np.concatenate([kv[:1], kv]) - slopes * np.concatenate([knots[:1], knots]), slopes
 
 
 def standard_gaussian(dim: int = 1) -> GaussianMixture:

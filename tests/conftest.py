@@ -8,9 +8,10 @@ import pytest
 from logheat import make_gaussian_mixture, make_perturbed
 
 
-def random_perturbed(rng):
-    """Random 1D perturbed log-concave instance with alpha in [0.2, 4] and
-    Lipschitz constant in [0, 2]."""
+def random_perturbed_args(rng):
+    """Arguments (alpha, v_knots, v_slopes, h_knots, h_slopes, lip) of ``make_perturbed``
+    for a random 1D perturbed log-concave instance with alpha in [0.2, 4] and Lipschitz
+    constant in [0, 2]."""
     alpha = rng.uniform(0.2, 4.0)
     lip = rng.uniform(0.0, 2.0)
     n_h = rng.integers(1, 4)
@@ -19,7 +20,13 @@ def random_perturbed(rng):
     n_v = rng.integers(0, 3)
     v_knots = np.sort(rng.uniform(-2.0, 2.0, size=n_v))
     v_slopes = np.sort(rng.uniform(-1.5, 1.5, size=n_v + 1))
-    return make_perturbed(alpha, v_knots, v_slopes, h_knots, h_slopes, lip=lip)
+    return alpha, v_knots, v_slopes, h_knots, h_slopes, lip
+
+
+def random_perturbed(rng):
+    """``make_perturbed`` of ``random_perturbed_args``."""
+    *args, lip = random_perturbed_args(rng)
+    return make_perturbed(*args, lip=lip)
 
 
 def random_mixture(rng, dim=1, max_components=4):

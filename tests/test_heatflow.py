@@ -85,7 +85,7 @@ class TestTiltedMoments:
         z, t = 0.7, 0.8
         tm = tilted_moments(pm, [z], t)
         xs = np.linspace(-30, 30, 400001)
-        logv = (-pm.potential(xs) - pm.log_normalizer
+        logv = (log_density(pm, xs[:, None])
                 - (xs - z) ** 2 / (2 * t) - 0.5 * math.log(2 * math.pi * t))
         w = np.exp(logv - logv.max())
         dx = xs[1] - xs[0]

@@ -130,11 +130,11 @@ def _score_hessian_nkd(mu, xs):
     r, g, _ = _posterior_nkd(mu.weights, mu.means, mu.variances, xs)
     sc = np.einsum("nk,nki->ni", r, g)
     # the score spread pooled about each point's heaviest component p, with
-    # g_k - g_p = x (1/v_p - 1/v_k) + m_k/v_k - m_p/v_p, as the library does
+    # g_k - g_p = (m_k - m_p)/v_k + (m_p - x)(1/v_k - 1/v_p), as the library does
     p = np.argmax(r, axis=1)
     iv = 1.0 / mu.variances
-    mv = mu.means * iv[:, None]
-    dg = xs[:, None, :] * (iv[p][:, None] - iv[None, :])[:, :, None] + (mv[None] - mv[p][:, None])
+    dg = ((mu.means[None] - mu.means[p][:, None]) * iv[None, :, None]
+          + (mu.means[p] - xs)[:, None, :] * (iv[None, :] - iv[p][:, None])[:, :, None])
     c = dg - np.einsum("nk,nki->ni", r, dg)[:, None, :]
     hess = np.einsum("nk,nki,nkj->nij", r, c, c)
     hess -= (r @ (1.0 / mu.variances))[:, None, None] * np.eye(mu.dim)

@@ -15,6 +15,7 @@ from logheat import (
     analyze_mixture_1d,
     GaussianMixture,
     NumericalError,
+    PerturbedLogConcave1D,
     ValidationError,
     cdf_1d,
     convolve_gaussian,
@@ -35,9 +36,9 @@ from logheat import (
     tilted_moments,
 )
 from logheat.heatflow import _tilt, marginal_stats_1d
-from logheat.measures import PiecewiseLinear, _log_gauss_mass, quantile_1d
+from logheat.measures import _log_gauss_mass, _quantile_grid, _segments, quantile_1d
 
-from conftest import random_mixture, random_perturbed
+from conftest import random_mixture, random_perturbed, random_perturbed_args
 
 
 class TestConstruction:
@@ -90,8 +91,36 @@ class TestConstruction:
     def test_perturbed_normalized(self):
         pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[1.0, -1.0])
         xs = np.linspace(-15, 15, 200001)
-        dens = np.exp(-pm.potential(xs) - pm.log_normalizer)
+        dens = np.exp(log_density(pm, xs[:, None]))
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"alpha": 0.0}, "alpha must be positive"),
+        ({"alpha": math.nan}, "alpha must be positive"),
+        ({"lip": -1.0}, "lip must be nonnegative"),
+        ({"lip": math.nan}, "lip must be nonnegative"),
+        ({"panel_a": [0.0]}, "one panel_a and one panel_b"),
+        ({"panel_b": [[1.0, -1.0]]}, "one panel_a and one panel_b"),
+        ({"panel_edges": [[-math.inf, 0.0, math.inf]]}, "one panel_a and one panel_b"),
+        ({"panel_edges": [], "panel_a": [], "panel_b": []}, "one panel_a and one panel_b"),
+        ({"panel_edges": [-5.0, 0.0, math.inf]}, "increase strictly from -inf to inf"),
+        ({"panel_edges": [-math.inf, 0.0, 0.0, math.inf], "panel_a": [0.0, 0.0, 0.0],
+          "panel_b": [1.0, 0.0, -1.0]}, "increase strictly from -inf to inf"),
+        ({"panel_edges": [-math.inf, 1.0, 0.0, math.inf], "panel_a": [0.0, 0.0, 0.0],
+          "panel_b": [1.0, 0.0, -1.0]}, "increase strictly from -inf to inf"),
+        ({"panel_a": [0.0, math.inf]}, "panel_a and panel_b must be finite"),
+        ({"panel_b": [math.nan, -1.0]}, "not normalizable"),
+        ({"panel_b": [1e200, -1.0]}, "not normalizable"),
+    ])
+    def test_perturbed_fields_checked(self, fields, message):
+        # the density built directly from its panels checks them; the good fields
+        # are those of make_perturbed's |x| kink
+        good = {"alpha": 1.0, "lip": 1.0, "panel_edges": [-math.inf, 0.0, math.inf],
+                "panel_a": [0.0, 0.0], "panel_b": [1.0, -1.0]}
+        kink = make_perturbed(1.0, h_knots=[0.0], h_slopes=[1.0, -1.0])
+        assert PerturbedLogConcave1D(**good).log_normalizer == kink.log_normalizer
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            PerturbedLogConcave1D(**{**good, **fields})
 
 
     @pytest.mark.parametrize("field, value", [
@@ -110,8 +139,8 @@ class TestConstruction:
 
 
 def _piecewise_linear_loops(knots, slopes):
-    """The knot values and segment coefficients of ``PiecewiseLinear`` as
-    sequential loops, kept as a reference for the vectorised forms."""
+    """The segment offsets a_j of ``measures._segments`` (f = a_j + b_j x on segment j,
+    f(0) = 0) as sequential loops, kept as a reference for the vectorised form."""
     n = knots.size
     kv = np.zeros(n)
     if n:
@@ -129,19 +158,33 @@ def _piecewise_linear_loops(knots, slopes):
         a[0] = kv[0] - slopes[0] * knots[0]
         for j in range(1, n + 1):
             a[j] = kv[j - 1] - slopes[j] * knots[j - 1]
-    return kv, a
+    return a
 
 
 class TestPiecewiseLinear:
+    """The piecewise-linear part V_extra + H of a perturbed potential, as its panels hold it."""
+
     def test_anchored_at_zero(self):
-        f = PiecewiseLinear(np.array([-1.0, 1.0]), np.array([-1.0, 0.5, 2.0]))
-        assert f(0.0) == pytest.approx(0.0, abs=1e-15)
+        pm = make_perturbed(1.0, v_knots=[-1.0, 1.0], v_slopes=[-1.0, 0.5, 2.0],
+                            h_knots=[0.5], h_slopes=[0.3, -0.2])
+        assert log_density(pm, 0.0) == -pm.log_normalizer
 
     def test_slopes(self):
-        f = PiecewiseLinear(np.array([0.0]), np.array([1.0, -1.0]))
-        xs = np.array([-2.0, -0.5, 0.5, 2.0])
-        assert np.allclose(f(xs), [-2.0, -0.5, -0.5, -2.0])
-        assert np.allclose(f.slope_at(np.array([-1.0, 1.0])), [1.0, -1.0])
+        # log p = -x^2/2 - H - log Z with H = x left of the knot at 0 and -x right
+        # of it; at the knot, the score takes the right-hand slope
+        pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[1.0, -1.0])
+        xs = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+        h = log_density(pm, xs[:, None]) + pm.log_normalizer + 0.5 * xs * xs
+        np.testing.assert_allclose(h, [2.0, 0.5, 0.0, 0.5, 2.0], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(score(pm, xs[:, None])[:, 0], [1.0, -0.5, 1.0, 0.5, -1.0])
+
+    @pytest.mark.parametrize("knot, slopes", [(1e17, [0.0, 1.0]), (-1e17, [1.0, 0.0])])
+    def test_panels_beside_a_far_knot(self, knot, slopes):
+        # past 2^53 a knot is its own neighbour +-1; each panel still takes the
+        # segment on the right of its left edge
+        pm = make_perturbed(1.0, h_knots=[knot], h_slopes=slopes)
+        np.testing.assert_array_equal(pm.panel_b, slopes)
+        assert pm.log_normalizer == pytest.approx(0.5 * math.log(2.0 * math.pi), rel=1e-15)
 
     def test_matches_loops_exactly(self, rng):
         for _ in range(2000):
@@ -151,12 +194,9 @@ class TestPiecewiseLinear:
                 knots[int(rng.integers(knots.size))] = 0.0  # a knot at the anchor
                 knots = np.unique(knots)
             slopes = rng.normal(0.0, 3.0, knots.size + 1)
-            f = PiecewiseLinear(knots, slopes)
-            kv, a = _piecewise_linear_loops(knots, slopes)
-            np.testing.assert_array_equal(f.knot_values, kv)
-            got_a, got_b = f.segment_coeffs()
-            np.testing.assert_array_equal(got_a, a)
-            np.testing.assert_array_equal(got_b, slopes)
+            a, b = _segments(knots, slopes)
+            np.testing.assert_array_equal(a, _piecewise_linear_loops(knots, slopes))
+            np.testing.assert_array_equal(b, slopes)
 
 
 class TestLogDerivatives:
@@ -350,6 +390,19 @@ class TestFarRows:
             warnings.simplefilter("error")
             assert log_hessian(mix, [1e299])[0, 0] == pytest.approx(want, rel=1e-15)
 
+    def test_log_hessian_where_equal_means_over_variances_overflow(self):
+        # m/v = 1e309 and 5e308 overflow, yet the score differences are 0: the
+        # log-Hessian is -sum_k r_k/v_k, with r_k prop. to w_k/sqrt(v_k) at x = m
+        mix = GaussianMixture(dim=1, weights=[0.5, 0.5], means=[[1e299], [1e299]],
+                              variances=[1e-10, 2e-10])
+        with mpmath.workdps(50):
+            v = [mpmath.mpf(q) for q in mix.variances]
+            r = [1 / mpmath.sqrt(q) for q in v]
+            want = -mpmath.fsum(q / u for q, u in zip(r, v)) / mpmath.fsum(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_hessian(mix, [1e299])[0, 0] == pytest.approx(float(want), rel=1e-15)
+
     def test_far_apart_atoms(self):
         atoms = AtomicMeasure(dim=1, weights=np.array([0.5, 0.5]),
                               locations=np.array([[0.0], [1e299]]))
@@ -376,7 +429,7 @@ class TestConvolution:
     def test_perturbed_density_vs_trapezoid(self):
         pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[1.0, -1.0])
         xs = np.linspace(-25, 25, 400001)
-        base = np.exp(-pm.potential(xs) - pm.log_normalizer)
+        base = np.exp(log_density(pm, xs[:, None]))
         kern = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
         # value of the convolution at 0 by direct integration
         oracle = np.trapezoid(base * np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi), xs)
@@ -494,23 +547,18 @@ class TestDilate:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
     def test_perturbed_closed_form_matches_rebuild(self, seed, log10_c):
-        pm = random_perturbed(np.random.default_rng(seed))
+        alpha, v_knots, v_slopes, h_knots, h_slopes, lip = random_perturbed_args(
+            np.random.default_rng(seed))
+        pm = make_perturbed(alpha, v_knots, v_slopes, h_knots, h_slopes, lip=lip)
         c = 10.0**log10_c
         got = dilate(pm, c)
-        want = make_perturbed(
-            pm.alpha / (c * c), pm.v_extra.knots * c, pm.v_extra.slopes / c,
-            pm.h.knots * c, pm.h.slopes / c, lip=pm.lip / c,
-        )
+        want = make_perturbed(alpha / (c * c), v_knots * c, v_slopes / c, h_knots * c,
+                              h_slopes / c, lip=lip / c)
         close = dict(rtol=1e-12, atol=1e-12)
         for name in ("panel_edges", "panel_a", "panel_b"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), **close)
         for name in ("alpha", "lip", "log_normalizer"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), **close)
-        for pl in ("v_extra", "h"):
-            for name in ("knots", "slopes", "knot_values"):
-                np.testing.assert_allclose(
-                    getattr(getattr(got, pl), name), getattr(getattr(want, pl), name), **close
-                )
         zs = c * np.array([[-1.5], [-0.2], [0.4], [1.7]])
         for a, b in zip(_tilt(got, zs, 0.5 * c * c), _tilt(want, zs, 0.5 * c * c)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * c * c)
@@ -618,7 +666,7 @@ class TestMoments:
         pm = random_perturbed(rng)
         mean, var = mean_variance_1d(pm)
         xs = np.linspace(mean - 30, mean + 30, 400001)
-        dens = np.exp(-pm.potential(xs) - pm.log_normalizer)
+        dens = np.exp(log_density(pm, xs[:, None]))
         m0 = np.trapezoid(dens, xs)
         m1 = np.trapezoid(dens * xs, xs) / m0
         m2 = np.trapezoid(dens * (xs - m1) ** 2, xs) / m0
@@ -724,6 +772,26 @@ class TestProbabilityArguments:
         assert cdf_1d(m, [-math.inf, math.inf]) == pytest.approx([0.0, 1.0], rel=0, abs=2e-16)
         q = quantile_1d(m, [0.0, 0.5, 1.0])
         assert q[0] <= q[1] <= q[2]
+
+    @pytest.mark.parametrize("family", sorted(_ONE_D))
+    def test_quantile_ends(self, family):
+        # a density's quantiles at 0 and 1 are the ends of its support, -inf and
+        # inf; atoms keep their first and last atom
+        m = _ONE_D[family]()
+        ends = {"atomic": [0.0, 2.0], "counterexample": [0.0, 36.0]}
+        assert quantile_1d(m, [0.0, 1.0]).tolist() == ends.get(family, [-math.inf, math.inf])
+
+    def test_perturbed_sample_of_a_zero_uniform_is_finite(self):
+        # rng.uniform may return exactly 0: the sampler reads the quantile table,
+        # whose end is finite
+        class Zeros:
+            def uniform(self, size):
+                return np.zeros(size)
+
+        pm = _FAMILIES["perturbed"]()
+        got = pm._sample(Zeros(), 2)
+        np.testing.assert_array_equal(got, _quantile_grid(pm, np.zeros(2))[:, None])
+        assert np.isfinite(got).all()
 
 
 class TestKernelLookup:
