@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapabilityError, NumericalError, ValidationError, check_integers
+from .numerics import ndtr, ndtri
 
 __all__ = [
     "GaussianMixture",
@@ -51,6 +52,9 @@ def _log_gauss_mass(a, b):
 
     Each interval is first reflected so that its centre is <= 0: then
     Phi(lo) <= 1/2, and the difference never cancels two numbers close to 1.
+    Where log Phi(lo) is within 1e-6 of log Phi(hi), their difference has lost
+    its digits; there the mass is 2h phi(c) (1 + He_2(c) h^2/6 + He_4(c) h^4/120)
+    at the centre c, for the half-width h (the next term is below 1e-20 of it).
     """
     from scipy.special import log_ndtr
 
@@ -60,7 +64,19 @@ def _log_gauss_mass(a, b):
     hi = np.where(flip, -a, b)
     l_hi = log_ndtr(hi)
     # fmin: an empty interval at -inf gives -inf - (-inf) = nan, and mass 0
-    return l_hi + np.log1p(-np.exp(np.fmin(log_ndtr(lo) - l_hi, 0.0)))
+    d = np.fmin(log_ndtr(lo) - l_hi, 0.0)
+    narrow = (d > -1e-6) & (lo <= hi) & (lo > -math.inf)  # nor reversed, nor at -inf
+    d[narrow] = -1.0  # replaced below
+    out = l_hi + np.log1p(-np.exp(d))
+    if narrow.any():
+        lo, hi = lo[narrow], hi[narrow]
+        v, h = np.square(0.5 * (lo + hi)), 0.5 * (hi - lo)
+        u = h * h
+        with np.errstate(divide="ignore"):  # an empty interval has mass 0
+            log_2h = np.log(2.0 * h)
+        out[narrow] = (log_2h - 0.5 * (v + _LOG_2PI)
+                       + np.log1p(u * ((v - 1.0) / 6.0 + u * ((v - 6.0) * v + 3.0) / 120.0)))
+    return out
 
 
 def _panel_moments(C, B, A, edges):
@@ -110,10 +126,10 @@ def _panel_moments(C, B, A, edges):
         ba *= d
         s[1:] += ba[1]
         s[:-1] -= ba[0]
-    var_p = s  # sigma * sigma * (s - dd * dd)
-    var_p -= np.square(dd, out=logZ)
-    var_p *= sigma * sigma
-    mean_p = np.add(m, np.multiply(dd, sigma, out=dd), out=m)  # m + sigma * dd
+        var_p = s  # sigma * sigma * (s - dd * dd)
+        var_p -= np.square(dd, out=logZ)
+        var_p *= sigma * sigma
+        mean_p = np.add(m, np.multiply(dd, sigma, out=dd), out=m)  # m + sigma * dd
 
     M = np.max(log_mass, axis=0)
     M = np.where(np.isfinite(M), M, 0.0)
@@ -326,8 +342,6 @@ class _Finite:
         return mean, float(np.dot(w, s + (c - mean) ** 2))
 
     def _cdf(self, x):
-        from scipy.special import ndtr
-
         w, c, s = self._components_1d()
         with np.errstate(divide="ignore", invalid="ignore"):
             z = (x[:, None] - c) / np.sqrt(s)
@@ -341,8 +355,6 @@ class _Finite:
             return c[order][np.minimum(np.searchsorted(np.cumsum(w[order]), u), c.size - 1)]
         if w.size > 1:
             return _density_quantile(self, u)
-        from scipy.special import ndtri
-
         return float(c[0]) + math.sqrt(float(s[0])) * ndtri(u)
 
     def _sample(self, rng, n):
@@ -533,7 +545,9 @@ class PerturbedLogConcave1D:
         return float(mean), float(var)
 
     def _cdf(self, x):
-        # the whole panels below the panel k holding x, plus panel k over [edge k, x]
+        # the whole panels below the panel k holding x, plus panel k over [edge k, x], over
+        # the sum of all panels: 1 at inf exactly.  A piece is at most its whole panel, and
+        # rounding is monotone, so the CDF never steps down at an edge nor exceeds 1
         C, edges = self.alpha, self.panel_edges
         m, sigma = -self.panel_b / C, 1.0 / math.sqrt(C)
         log_scale = (0.5 * C * m * m - self.panel_a + 0.5 * math.log(2.0 * math.pi / C)
@@ -542,8 +556,9 @@ class PerturbedLogConcave1D:
         k = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, m.size - 1)
         with np.errstate(divide="ignore", invalid="ignore"):  # empty piece: x on edge k
             part = _log_gauss_mass(lo[k], (x - m[k]) / sigma)
-        below = np.concatenate([[0.0], np.cumsum(np.exp(log_scale + _log_gauss_mass(lo, hi)))])
-        return np.clip(below[k] + np.exp(log_scale[k] + part), 0.0, 1.0)
+        whole = np.exp(log_scale + _log_gauss_mass(lo, hi))
+        below = np.concatenate([[0.0], np.cumsum(whole)])
+        return (below[k] + np.minimum(np.exp(log_scale[k] + part), whole[k])) / below[-1]
 
     def _quantile(self, u):
         return _density_quantile(self, u)

@@ -22,7 +22,7 @@ import numpy as np
 from . import measures as ms
 from .errors import NumericalError, ValidationError, check_integers
 from .heatflow import _BLOCK, _tilt, marginal_stats_1d, ou_log_derivatives
-from .numerics import rk4
+from .numerics import ndtri, rk4
 
 __all__ = [
     "FlowMap",
@@ -120,8 +120,6 @@ def build_flow_map(
         raise ValidationError(f"need n_points >= 2 and steps_per_unit >= 1, got "
                               f"{n_points} and {steps_per_unit}")
     if inputs is None:
-        from scipy.special import ndtri
-
         inputs = ndtri((np.arange(n_points) + 1.0) / (n_points + 1.0))
     else:
         inputs = np.asarray(inputs, dtype=float)

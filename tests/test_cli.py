@@ -434,8 +434,8 @@ class TestImport:
         assert out.stdout.strip() == "[]"
 
     def test_import_loads_no_scipy(self):
-        # scipy.special alone costs about a quarter second; it is imported
-        # where a call evaluates Phi or its inverse.  numpy.polynomial (about
+        # scipy.special alone costs about a quarter second; it is imported only
+        # where a perturbed density evaluates log Phi.  numpy.polynomial (about
         # 4 ms) is imported where theta_envelope forms its default rule
         code = ("import sys, logheat; print(sorted(m for m in sys.modules if m.split('.')[0] "
                 "== 'scipy' or m.startswith('numpy.polynomial')))")
@@ -450,9 +450,15 @@ class TestImport:
         ["two-atom", "--x0", "2", "--t", "1"],
         ["decompose", "--measure", "{mixture}"],
         ["mixture", "--measure", "{mixture}", "--points", "11"],
+        ["transport", "--measure", "{gauss}", "--points", "33", "--samples", "500"],
+        ["reverse-sde", "--measure", "{mixture}", "--n", "500", "--steps", "20"],
     ], ids=lambda argv: argv[0])
     def test_subcommand_runs_without_scipy(self, tmp_path, mixture_file, argv):
-        argv = [a.format(mixture=mixture_file) for a in argv] + ["--out", str(tmp_path)]
+        # Phi and its inverse are numpy kernels: every subcommand on a mixture runs on numpy
+        gauss = tmp_path / "gauss.json"
+        gauss.write_text(json.dumps({"type": "gaussian_mixture", "components": [[1, [0], 1]]}))
+        argv = ([a.format(mixture=mixture_file, gauss=gauss) for a in argv]
+                + ["--out", str(tmp_path)])
         run = f"from logheat.cli import main; assert main({argv!r}) == 0"
         out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES.format(run)],
                              capture_output=True, text=True, env=_src_env(), check=True)

@@ -596,6 +596,18 @@ class TestLogGaussMass:
         err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
         assert np.max(err) <= 1e-12, _INTERVALS[int(np.argmax(err))]
 
+    def test_narrow_intervals(self):
+        # log Phi(lo) and log Phi(hi) agree to 1e-6 or closer: their difference has lost its
+        # digits (one ulp apart, it was 0 and the mass -inf), and the midpoint series takes over
+        one = math.nextafter(1.0, 2.0)
+        intervals = [(1.0, one), (-one, -1.0), (0.3, 0.3 + 1e-9), (-40.0, -40.0 + 1e-9),
+                     (5.0, 5.0 + 1e-7), (-1e4, math.nextafter(-1e4, 0.0)), (-2.0, -2.0 + 4e-7)]
+        a, b = np.array(intervals).T
+        want = np.array([_log_gauss_mass_mp(lo, hi) for lo, hi in intervals])
+        np.testing.assert_allclose(_log_gauss_mass(a, b), want, rtol=1e-15, atol=0)
+        # an empty interval has mass 0
+        assert _log_gauss_mass(np.array([2.0]), np.array([2.0]))[0] == -math.inf
+
 
 class TestSampling:
     def test_gaussian_mean(self):
@@ -654,6 +666,26 @@ class TestCdfQuantile:
             np.testing.assert_allclose(cdf_1d(pm, x), np.clip(want, 0.0, 1.0),
                                        rtol=0, atol=4 * np.finfo(float).eps)
 
+    @pytest.mark.parametrize("slopes", [[-1.0, 1.0], [1.0, -1.0]], ids=["kink", "sharp-1-1"])
+    def test_perturbed_cdf_reaches_one(self, slopes):
+        # the panel masses sum to 1 - 1e-16 here; the CDF is their running sum over their
+        # total, so it is 1 at inf, never above, and never steps down at an edge
+        pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=slopes)
+        assert cdf_1d(pm, [-math.inf, math.inf]).tolist() == [0.0, 1.0]
+        assert quantile_1d(pm, [0.0, 1.0]).tolist() == [-math.inf, math.inf]
+        near_edge = np.arange(-50, 51) * 5e-324
+        x = np.sort(np.concatenate([np.linspace(-40.0, 40.0, 40001), near_edge,
+                                    [-math.inf, math.inf]]))
+        cdf = cdf_1d(pm, x)
+        assert np.all(np.diff(cdf) >= 0.0) and np.all((cdf >= 0.0) & (cdf <= 1.0))
+
+    def test_perturbed_cdf_is_one_at_inf(self, rng):
+        for _ in range(50):
+            pm = random_perturbed(rng)
+            x = np.concatenate([[-math.inf], pm.panel_edges[1:-1], [math.inf]])
+            cdf = cdf_1d(pm, x)
+            assert cdf[0] == 0.0 and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+
     def test_quantile_roundtrip(self):
         pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[-0.5, 0.5])
         u = np.array([0.1, 0.5, 0.9])
@@ -672,6 +704,21 @@ class TestMoments:
         m2 = np.trapezoid(dens * (xs - m1) ** 2, xs) / m0
         assert mean == pytest.approx(m1, abs=1e-9)
         assert var == pytest.approx(m2, abs=1e-9)
+
+    def test_massless_and_one_ulp_panels(self):
+        # a panel beyond 1e10 has no mass, and a panel one ulp wide has 1e-16 of it: the
+        # moments are those of the density without it, with no warning (an error here)
+        assert mean_variance_1d(make_perturbed(1.0, h_knots=[1e10], h_slopes=[0.0, 1.0])) \
+            == pytest.approx((0.0, 1.0), rel=0, abs=1e-15)
+        one = math.nextafter(1.0, 2.0)
+        pm = make_perturbed(1.0, h_knots=[1.0, one], h_slopes=[1.0, -3.0, 2.0])
+        with mpmath.workdps(30):  # H(x) = x below 1 and 2x - 1 above
+            dens = lambda x: mpmath.exp(-x * x / 2 - (x if x < 1 else 2 * x - 1))
+            m = [mpmath.quad(lambda x: x**j * dens(x), [-mpmath.inf, 1, mpmath.inf])
+                 for j in range(3)]
+            mean, var = m[1] / m[0], m[2] / m[0] - (m[1] / m[0]) ** 2
+        assert mean_variance_1d(pm) == pytest.approx((float(mean), float(var)), rel=1e-14)
+        assert pm.log_normalizer == pytest.approx(float(mpmath.log(m[0])), rel=1e-15)
 
     def test_mixture_variance_is_centred(self):
         # sum w (v + m^2) - mean^2 cancels to 0.0 here
