@@ -54,7 +54,7 @@ def _tilt(measure, zs: np.ndarray, t):
     small enough for the heap to reuse.  The output is bit-identical to one call: a matrix product
     rounds the last (n mod 4) rows of a call apart and ``_BLOCK`` is a multiple of 4, and a last
     row joins the block before it, since numpy sums a single row's terms pairwise."""
-    if not (np.all((t > 0) & (t < math.inf)) if isinstance(t, np.ndarray) else 0 < t < math.inf):
+    if not (((t > 0) & (t < math.inf)).all() if isinstance(t, np.ndarray) else 0 < t < math.inf):
         raise ValidationError(f"t must be positive and finite, got {t}")
     kernel = ms._kernel(measure, "_tilt")
     if zs.shape[0] <= _BLOCK:
@@ -63,7 +63,8 @@ def _tilt(measure, zs: np.ndarray, t):
         cuts = list(range(0, zs.shape[0] - 1, _BLOCK)) + [zs.shape[0]]
         blocks = [kernel(zs[i:j], t[i:j] if np.ndim(t) else t) for i, j in zip(cuts, cuts[1:])]
         log_mass, mean, cov = (np.concatenate(parts) for parts in zip(*blocks))
-    return log_mass, mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    # a (n, 1, 1) covariance is symmetric as it stands
+    return log_mass, mean, cov if cov.shape[1] == 1 else 0.5 * (cov + np.swapaxes(cov, 1, 2))
 
 
 def tilted_moments(measure, z, t: float) -> TiltedMoments:

@@ -52,9 +52,10 @@ def _log_gauss_mass(a, b):
 
     Each interval is first reflected so that its centre is <= 0: then
     Phi(lo) <= 1/2, and the difference never cancels two numbers close to 1.
-    Where log Phi(lo) is within 1e-6 of log Phi(hi), their difference has lost
-    its digits; there the mass is 2h phi(c) (1 + He_2(c) h^2/6 + He_4(c) h^4/120)
-    at the centre c, for the half-width h (the next term is below 1e-20 of it).
+    Where log Phi(lo) is within 1e-3 of log Phi(hi), their difference has lost
+    digits; there the mass is 2h phi(c) (1 + He_2(c) h^2/6 + He_4(c) h^4/120)
+    at the centre c, for the half-width h: h max(1, |c|) < 1e-3, so the next
+    term is below 1e-20 of it.
     """
     from scipy.special import log_ndtr
 
@@ -65,7 +66,7 @@ def _log_gauss_mass(a, b):
     l_hi = log_ndtr(hi)
     # fmin: an empty interval at -inf gives -inf - (-inf) = nan, and mass 0
     d = np.fmin(log_ndtr(lo) - l_hi, 0.0)
-    narrow = (d > -1e-6) & (lo <= hi) & (lo > -math.inf)  # nor reversed, nor at -inf
+    narrow = (d > -1e-3) & (lo <= hi) & (lo > -math.inf)  # nor reversed, nor at -inf
     d[narrow] = -1.0  # replaced below
     out = l_hi + np.log1p(-np.exp(d))
     if narrow.any():
@@ -131,20 +132,23 @@ def _panel_moments(C, B, A, edges):
         var_p *= sigma * sigma
         mean_p = np.add(m, np.multiply(dd, sigma, out=dd), out=m)  # m + sigma * dd
 
-    M = np.max(log_mass, axis=0)
-    M = np.where(np.isfinite(M), M, 0.0)
+    M = np.maximum.reduce(log_mass, axis=0)
     pi = np.exp(np.subtract(log_mass, M, out=log_mass), out=log_mass)  # w, then w / W
-    W = np.sum(pi, axis=0)
+    W = np.add.reduce(pi, axis=0)
     pi /= W
-    drop = ~(pi > 0)
+    log_mass = M + np.log(W)
     np.maximum(var_p, 0.0, out=var_p)
-    mean_p[drop] = var_p[drop] = 0.0
-    mean = np.sum(np.multiply(pi, mean_p, out=dd), axis=0)
+    keep = pi > 0
+    if not keep.all():  # panels of weight 0 add nothing; pi is NaN where M is not finite,
+        np.copyto(mean_p, 0.0, where=~keep)  # and there the log-mass is M (-inf, inf or NaN)
+        np.copyto(var_p, 0.0, where=~keep)
+        log_mass = np.where(np.isfinite(M), log_mass, M)
+    mean = np.add.reduce(np.multiply(pi, mean_p, out=dd), axis=0)
     # var = sum(pi * (var_p + (mean_p - mean) ** 2))
     np.square(np.subtract(mean_p, mean, out=mean_p), out=mean_p)
     mean_p += var_p
-    var = np.sum(np.multiply(pi, mean_p, out=mean_p), axis=0)
-    return M + np.log(W), mean, np.maximum(var, 0.0)
+    var = np.add.reduce(np.multiply(pi, mean_p, out=mean_p), axis=0)
+    return log_mass, mean, np.maximum(var, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +236,12 @@ def _mixture_posterior(log_w, means, v, xs):
     dm = means[:, :, None] - xs.T[None, :, :]
     with np.errstate(over="ignore"):
         logits = (log_w[:, None] - 0.5 * means.shape[1] * (_LOG_2PI + np.log(v))
-                  ) - 0.5 * np.sum(dm * dm, axis=1) / v
+                  ) - 0.5 * np.add.reduce(dm * dm, axis=1) / v
         g = dm / v[:, None]
     # normalized by their sum, not by the log-sum-exp: with logits of 1e107,
     # adding log 2 changes nothing, and the responsibilities would sum to 2
-    m = np.max(logits, axis=0)
-    lowest = m.min()  # -inf where every logit overflowed
+    m = np.maximum.reduce(logits, axis=0)
+    lowest = np.minimum.reduce(m)  # -inf where every logit overflowed
     if lowest == -math.inf:
         j = int(np.argmin(m))
         dist = float(np.min(np.hypot.reduce(np.abs(dm[:, :, j]), axis=1)))
@@ -254,7 +258,7 @@ def _mixture_posterior(log_w, means, v, xs):
         rel = np.where(np.isfinite(rel), rel, d[:, far])
         d[:, far] = rel - np.max(rel, axis=0)  # p, by rounded logits, may not be the heaviest
     e = np.exp(d)
-    total = np.sum(e, axis=0)
+    total = np.add.reduce(e, axis=0)
     r = e / total
     if not r.all():
         np.copyto(g, 0.0, where=(r == 0)[:, None] & ~np.isfinite(g))
@@ -264,10 +268,12 @@ def _mixture_posterior(log_w, means, v, xs):
 def _pool(r, vecs, diag):
     """Mean (d, n) and covariance (d, d, n), pooled about the mean, of the
     mixture with weights r (k, n) of N(vecs_k, var_k I), vecs (k, d, n); diag
-    is the pooled variance sum_k r_k var_k, (n,) or a scalar."""
-    mean = np.einsum("kn,kin->in", r, vecs)
+    is the pooled variance sum_k r_k var_k, (n,) or a scalar.  The terms are
+    (r_k c_ki) c_kj, as einsum formed them: r = 0 keeps an overflowing c_ki c_kj out."""
+    r = r[:, None]
+    mean = np.add.reduce(r * vecs, axis=0)
     c = vecs - mean
-    cov = np.einsum("kn,kin,kjn->ijn", r, c, c, order="C")  # so reshape is a view
+    cov = np.add.reduce((r * c)[:, :, None] * c[:, None], axis=0)  # C order: reshape is a view
     cov.reshape(-1, cov.shape[2])[:: mean.shape[0] + 1] += diag
     return mean, cov
 
@@ -430,7 +436,7 @@ class GaussianMixture(_Finite):
         # valid range, by overflow or underflow, which the check reports
         with np.errstate(over="ignore", under="ignore"):
             means, variances = self.means * c, self.variances * c * c
-        if not (np.all(np.isfinite(means)) and np.all((variances > 0) & (variances < math.inf))):
+        if not (np.isfinite(means).all() and ((variances > 0) & (variances < math.inf)).all()):
             raise ValidationError(f"dilation by {c!r} takes the mixture's means or "
                                   "variances out of the finite positive range")
         return _with_fields(self, means=means, variances=variances)
@@ -466,7 +472,14 @@ class AtomicMeasure(_Finite):
         return self.weights, self.locations, np.zeros(self.weights.size)
 
     def _dilate(self, c):
-        return AtomicMeasure(dim=self.dim, weights=self.weights, locations=self.locations * c)
+        # a field copy, as for a mixture: scaled atoms may overflow, or underflow onto one
+        # another, which leaves a valid measure (coinciding atoms add their weights)
+        with np.errstate(over="ignore", under="ignore"):
+            locations = self.locations * c
+        if not np.isfinite(locations).all():
+            raise ValidationError(f"dilation by {c!r} takes the atom locations out of the "
+                                  "finite range")
+        return _with_fields(self, locations=locations)
 
 
 @dataclass(frozen=True)

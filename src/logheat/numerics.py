@@ -67,7 +67,7 @@ def rk4(f, y: np.ndarray, s0: float, s1: float, n: int) -> np.ndarray:
         k3 = f(mid, y + 0.5 * h * k2)
         k4 = f(times[k + 1], y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             bad = int(np.argmax(~np.isfinite(y)))
             raise NumericalError(f"ODE state blew up near s={times[k+1]} (point {bad})")
     return y

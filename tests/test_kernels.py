@@ -4,7 +4,8 @@ The references below are the earlier implementations, kept verbatim as
 oracles: the panel kernel that standardised every edge, infinite ones
 included, the panel kernel written as whole-array expressions before its
 temporaries were updated in place, and the mixture posterior laid out
-(n, k, d) with its einsum reductions.  The kernels in ``src/`` must
+(n, k, d) with its einsum reductions, and the mixture pooling by einsum.
+The kernels in ``src/`` must
 reproduce them to rounding; the in-place panel kernel and the row blocks of
 ``_tilt`` must reproduce theirs bit for bit.  Far from every mixture
 component the (n, k, d) logits round alike, and the library weighs the
@@ -12,6 +13,7 @@ components relative to the heaviest instead: such rows are checked against a
 50-digit oracle, to the same tolerance.
 """
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -31,7 +33,7 @@ from logheat import (
 )
 from logheat import measures as ms
 from logheat.heatflow import _tilt
-from logheat.measures import _LOG_2PI, _log_gauss_mass, _panel_moments
+from logheat.measures import _LOG_2PI, _log_gauss_mass, _panel_moments, _pool
 
 
 def _panel_moments_all_edges(C, B, A, edges):
@@ -124,6 +126,14 @@ def _tilt_mixture_nkd(mu, zs, t):
     cov = np.einsum("nk,nki,nkj->nij", pi, c, c)
     cov += (pi @ (s * t / (s + t)))[:, None, None] * np.eye(mu.dim)
     return log_mass, mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
+
+
+def _pool_einsum(r, vecs, diag):
+    mean = np.einsum("kn,kin->in", r, vecs)
+    c = vecs - mean
+    cov = np.einsum("kn,kin,kjn->ijn", r, c, c, order="C")  # so reshape is a view
+    cov.reshape(-1, cov.shape[2])[:: mean.shape[0] + 1] += diag
+    return mean, cov
 
 
 def _score_hessian_nkd(mu, xs):
@@ -238,6 +248,28 @@ class TestPanelKernel:
         want = _panel_moments_expressions(pm.alpha, -pm.panel_b, -pm.panel_a, pm.panel_edges)
         for g, w in zip(got, want):
             assert np.array_equal(g, w, equal_nan=True)
+
+    def test_points_without_finite_mass_match_expressions_bitwise(self):
+        # beside an ordinary point: every panel at log-mass -inf, one panel at inf, one
+        # at NaN, and a panel of weight 0 (rounded): the kernel's guarded fix-ups
+        pm = make_perturbed(1, [-1, 1], [-0.5, 0, 0.5], [0, 2], [-1, 1, 0])
+        z, t = np.linspace(-2.0, 2.0, 5), 0.5
+        B = z / t - pm.panel_b[:, None]
+        A = -pm.panel_a[:, None] - z * z / (2.0 * t)
+        A[:, 1], A[2, 2], A[1, 3], A[1, 4] = -math.inf, math.inf, math.nan, -2000.0
+        C = pm.alpha + 1.0 / t
+        with np.errstate(all="ignore"):
+            got = _panel_moments(C, B, A, pm.panel_edges)
+            want = _panel_moments_expressions(C, B, A, pm.panel_edges)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        assert got[0][1] == -math.inf and got[0][2] == math.inf and np.isfinite(got[1][4])
+        # a panel from 1e160 standard units on has Z = 0, weight 0 and phi(a)/Z = NaN
+        edges, zero = np.array([-math.inf, 0.0, 1e160, math.inf]), np.zeros(3)
+        with np.errstate(all="ignore"):
+            got = _panel_moments(1.0, zero, zero, edges)
+            want = _panel_moments_expressions(1.0, zero, zero, edges)
+        assert np.array_equal(got, want) and np.all(np.isfinite(got))
 
     @settings(max_examples=100, deadline=None)
     @given(_perturbed())
@@ -407,7 +439,51 @@ class TestRowBlocks:
         parts = [_tilt(mu, zs[i:j], t[i:j] if per_row else t) for i, j in zip(cuts, cuts[1:])]
         for g, w in zip(got, zip(*parts)):
             assert np.array_equal(g, np.concatenate(w), equal_nan=True)
-        # and every row in one call of the family kernel
+        # and every row in one call of the family kernel, whose covariance is kept as it is
+        # in 1D and symmetrized, exactly, in more dimensions
         log_mass, mean, cov = ms._kernel(mu, "_tilt")(zs, t)
         assert np.array_equal(got[0], log_mass) and np.array_equal(got[1], mean)
-        assert np.array_equal(got[2], 0.5 * (cov + np.swapaxes(cov, 1, 2)))
+        if mu.dim == 1:
+            assert np.array_equal(got[2], cov)
+        else:
+            assert np.array_equal(got[2], 0.5 * (cov + np.swapaxes(cov, 1, 2)))
+            assert np.array_equal(got[2], np.swapaxes(got[2], 1, 2))
+
+
+class TestPool:
+    """``_pool`` forms each term as (r_k c_ki) c_kj, as the einsum did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.sampled_from([1, 2, 5, 257]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_einsum(self, k, d, n, seed):
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(0.0, 1.0, (k, n))
+        r /= r.sum(axis=0)
+        vecs, diag = rng.normal(0.0, 3.0, (k, d, n)), rng.uniform(0.0, 1.0, n)
+        got, want = _pool(r, vecs, diag), _pool_einsum(r, vecs, diag)
+        if k <= 2:
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            return
+        # at a single row the two add three or more terms in different orders:
+        # within 2 ulps of the sum of their magnitudes
+        c = np.abs(vecs - want[0])
+        scales = (np.einsum("kn,kin->in", r, np.abs(vecs)),
+                  np.einsum("kn,kin,kjn->ijn", r, c, c) + np.eye(d)[:, :, None] * diag)
+        for g, w, scale in zip(got, want, scales):
+            assert np.all(np.abs(g - w) <= 2.0 * np.spacing(scale))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_component_of_weight_zero_far_out(self, dim):
+        # at z = 0 the component at |c| = 1e200 has responsibility 0: r c_i c_j
+        # multiplied as r (c_i c_j) would be 0 * inf = NaN
+        mu = GaussianMixture(dim=dim, weights=np.array([0.5, 0.5]),
+                             means=np.array([np.zeros(dim), np.full(dim, -1e200)]),
+                             variances=np.array([1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, mean, cov = _tilt(mu, np.zeros((3, dim)), 1.0)
+        assert np.array_equal(mean, np.zeros((3, dim)))
+        assert np.array_equal(cov, np.broadcast_to(0.5 * np.eye(dim), (3, dim, dim)))
+

@@ -35,7 +35,7 @@ from logheat import (
     tilted_log_mass,
     tilted_moments,
 )
-from logheat.heatflow import _tilt, marginal_stats_1d
+from logheat.heatflow import _tilt, marginal_stats_1d, ou_log_derivatives
 from logheat.measures import _log_gauss_mass, _quantile_grid, _segments, quantile_1d
 
 from conftest import random_mixture, random_perturbed, random_perturbed_args
@@ -526,6 +526,45 @@ class TestDilate:
         with pytest.raises(ValidationError, match="dilation"):
             dilate(g, 1e10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 2),
+           st.floats(-3.0, 3.0))
+    def test_atoms_copy_matches_rebuild(self, seed, k, dim, log10_c):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 1.0, k)
+        atoms = AtomicMeasure(dim=dim, weights=w / w.sum(),
+                              locations=rng.uniform(-4.0, 4.0, (k, dim)))
+        c = 10.0**log10_c
+        got = dilate(atoms, c)
+        want = AtomicMeasure(dim=dim, weights=atoms.weights, locations=atoms.locations * c)
+        assert type(got) is AtomicMeasure and got.dim == want.dim
+        for name in ("weights", "locations", "log_weights"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        # and the OU outputs, which dilate by e^-t: those of the rebuilt atoms
+        xs, t = rng.normal(0.0, 2.0, (6, dim)), 0.3
+        v, eye = -math.expm1(-2.0 * t), np.eye(dim)
+        ref = AtomicMeasure(dim=dim, weights=atoms.weights,
+                            locations=atoms.locations * math.exp(-t))
+        _, mean, cov = _tilt(ref, xs, v)
+        _, grad, hess = ou_log_derivatives(atoms, t, xs)
+        np.testing.assert_array_equal(grad, (mean - xs) / v + xs)
+        np.testing.assert_array_equal(hess, (cov / v - eye) / v + eye)
+
+    def test_atoms_may_coincide_after_dilation(self):
+        # e^-700 rounds both atoms to 0: the law of cX is one atom at 0, not an error
+        atoms = AtomicMeasure(dim=1, weights=[0.5, 0.5], locations=[[1e-300], [2e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, sc, _ = marginal_stats_1d(atoms, 700.0, [0.0])
+        assert sc[0] == 0.0
+
+    def test_atoms_out_of_range_rejected(self):
+        atoms = AtomicMeasure(dim=1, weights=[0.5, 0.5], locations=[[0.0], [1e10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="dilation by"):
+                dilate(atoms, 1e300)
+
     @pytest.mark.parametrize("c", [1e-160, 1e-320, 1e200])
     def test_perturbed_out_of_range_rejected(self, c):
         # c = 1e-160 overflows the squared slopes, 1e-320 alpha/c^2, and
@@ -597,16 +636,33 @@ class TestLogGaussMass:
         assert np.max(err) <= 1e-12, _INTERVALS[int(np.argmax(err))]
 
     def test_narrow_intervals(self):
-        # log Phi(lo) and log Phi(hi) agree to 1e-6 or closer: their difference has lost its
+        # log Phi(lo) and log Phi(hi) agree to 1e-3 or closer: their difference has lost
         # digits (one ulp apart, it was 0 and the mass -inf), and the midpoint series takes over
         one = math.nextafter(1.0, 2.0)
         intervals = [(1.0, one), (-one, -1.0), (0.3, 0.3 + 1e-9), (-40.0, -40.0 + 1e-9),
-                     (5.0, 5.0 + 1e-7), (-1e4, math.nextafter(-1e4, 0.0)), (-2.0, -2.0 + 4e-7)]
+                     (5.0, 5.0 + 1e-7), (-1e4, math.nextafter(-1e4, 0.0)), (-2.0, -2.0 + 4e-7),
+                     (-1e-6, 1e-6), (-3.0, -3.0 + 5e-7), (2.0, 2.0 + 2e-6), (-0.3, -0.2999)]
         a, b = np.array(intervals).T
         want = np.array([_log_gauss_mass_mp(lo, hi) for lo, hi in intervals])
         np.testing.assert_allclose(_log_gauss_mass(a, b), want, rtol=1e-15, atol=0)
         # an empty interval has mass 0
         assert _log_gauss_mass(np.array([2.0]), np.array([2.0]))[0] == -math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-40.0, 40.0), st.floats(-4.5, -1.5))
+    def test_across_the_series_cut(self, c, log10_d):
+        # intervals about c whose log Phi difference d runs from 3e-5 to 3e-2, across the
+        # cut at 1e-3: the series is exact to rounding, and log1p(-e^d) beyond it holds the
+        # 1e-12 of the wide intervals
+        from scipy.special import log_ndtr
+
+        h = 0.5 * 10.0**log10_d / max(0.8, abs(c))
+        a, b = c - h, c + h
+        lo, hi = (-b, -a) if a > -b else (a, b)
+        series = log_ndtr(lo) - log_ndtr(hi) > -1e-3
+        want = _log_gauss_mass_mp(a, b)
+        got = _log_gauss_mass(np.array([a]), np.array([b]))[0]
+        assert abs(got - want) <= (1e-15 if series else 1e-12) * abs(want)
 
 
 class TestSampling:
