@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_finite
 from .measures import GaussianMixture, _kernel, _points
 
 __all__ = [
@@ -39,6 +39,7 @@ class PerturbationParams:
     third_deriv: float = 0.0
 
     def __post_init__(self) -> None:
+        check_finite(alpha=self.alpha, lip=self.lip, third_deriv=self.third_deriv)
         for name in ("lip", "third_deriv"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
@@ -46,8 +47,11 @@ class PerturbationParams:
 
 def thm2_envelope(alpha: float, lip: float, t: float) -> tuple[float, float]:
     """Two-sided envelope for -Hess log(mu * gamma_t): (lower, upper)."""
+    check_finite(alpha=alpha, lip=lip, t=t)
     if not t > 0:
         raise DomainError("t must be positive")
+    if not math.isfinite(1.0 / t):
+        raise ValidationError(f"t = {t!r} is out of range: 1/t overflows")
     if not alpha * t + 1.0 > 0:
         raise DomainError("need alpha*t + 1 > 0")
     if lip < 0:
@@ -59,6 +63,7 @@ def thm2_envelope(alpha: float, lip: float, t: float) -> tuple[float, float]:
 
 def log_concavity_time(alpha: float, lip: float) -> float:
     """Smallest guaranteed log-concavity time (L/alpha + 1/sqrt(alpha))^2."""
+    check_finite(alpha=alpha, lip=lip)
     if not alpha > 0:
         raise DomainError("alpha must be positive")
     if lip < 0:
@@ -68,8 +73,11 @@ def log_concavity_time(alpha: float, lip: float) -> float:
 
 def compact_support_lower(radius: float, t: float) -> float:
     """Classical compact-support lower bound (1/t)(1 - R^2/t)."""
+    check_finite(radius=radius, t=t)
     if not t > 0:
         raise DomainError("t must be positive")
+    if not math.isfinite(1.0 / t):
+        raise ValidationError(f"t = {t!r} is out of range: 1/t overflows")
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     return (1.0 / t) * (1.0 - radius * radius / t)
@@ -87,9 +95,12 @@ def example3_limit_check(radius: float, t: float, s: float) -> tuple[float, floa
 
 def cor7_envelope(alpha: float, lip: float, t: float) -> tuple[float, float]:
     """Envelope for Hess log Q_t(d mu/d gamma): (lower, upper)."""
+    check_finite(alpha=alpha, lip=lip, t=t)
     if not t > 0:
         raise DomainError("t must be positive")
-    tau = math.expm1(2.0 * t)  # e^{2t} - 1
+    tau = math.expm1(2.0 * t) if 2.0 * t < 709.78 else math.inf  # e^{2t} - 1
+    if not math.isfinite(tau + 1.0 / tau):
+        raise ValidationError(f"t = {t!r} is out of range: e^(2t) - 1 or its reciprocal overflows")
     if not alpha * tau + 1.0 > 0:
         raise DomainError("need alpha*(e^{2t}-1) + 1 > 0")
     if lip < 0:
@@ -107,6 +118,7 @@ def cor7_envelope(alpha: float, lip: float, t: float) -> tuple[float, float]:
 
 def integrated_ou_upper(alpha: float, lip: float) -> float:
     """Closed-form time integral of the OU upper envelope over (0, inf)."""
+    check_finite(alpha=alpha, lip=lip)
     if not alpha > 0:
         raise DomainError("alpha must be positive")
     if lip < 0:
@@ -128,6 +140,7 @@ def transport_constants(params: PerturbationParams) -> dict[str, float]:
 
 def lsi_transfer(C: float, lip_map: float) -> float:
     """LSI constant of the pushforward under a lip_map-Lipschitz map."""
+    check_finite(C=C, lip_map=lip_map)
     if not (C > 0 and lip_map > 0):
         raise ValidationError("C and lip_map must be positive")
     return lip_map * lip_map * C

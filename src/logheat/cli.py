@@ -117,7 +117,7 @@ def _cmd_bounds(args):
             alpha=args.alpha, lip=args.lip, third_deriv=args.third_deriv))
         report.update(consts)
         report["lsi_transferred"] = bd.lsi_transfer(args.lsi_c, consts["thm3"])
-    if args.radius > 0:
+    if args.radius != 0:  # the default 0 leaves the classical bound out
         report["compact_support_lower"] = bd.compact_support_lower(args.radius, args.t)
     return report, None
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SearchError, ValidationError
+from .errors import SearchError, ValidationError, check_finite
 from .heatflow import log_hessian_heat, tilted_moments
 from .measures import AtomicMeasure, CounterexampleMeasure
 from .numerics import find_root
@@ -159,6 +159,7 @@ def variance_certificate(
     The atoms the truncation drops are bounded in closed form, assuming psi
     is nondecreasing beyond the truncation (see ``_tail_adequate``).
     """
+    check_finite(t=t, M=M)
     if not (t > 0 and M > 0):
         raise ValidationError("t and M must be positive")
     j0 = max(1, math.ceil(math.sqrt(2.0) * M))
@@ -198,9 +199,7 @@ def two_atom_analysis(x0: float, w0: float, w1: float, t: float) -> TwoAtomRepor
     clipped to that bracket.  A 601-point grid over the bracket is its
     numerical witness.
     """
-    for name, value in (("x0", x0), ("w0", w0), ("w1", w1), ("t", t)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+    check_finite(x0=x0, w0=w0, w1=w1, t=t)
     if x0 == 0:
         raise ValidationError("x0 must be nonzero")
     if not (w0 > 0 and w1 > 0 and t > 0):

@@ -1,4 +1,5 @@
 """Exception hierarchy shared by all logheat modules."""
+import math
 import operator
 
 
@@ -40,3 +41,10 @@ def check_integers(names: str, *values) -> tuple[int, ...]:
         return tuple(operator.index(v) for v in values)
     except TypeError:
         raise ValidationError(f"need integer {names}: {', '.join(map(repr, values))}") from None
+
+
+def check_finite(**values: float) -> None:
+    """A ValidationError naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")

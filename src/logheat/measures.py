@@ -605,6 +605,10 @@ class CounterexampleMeasure(_Finite):
         i = np.arange(n + 1)
         xs = i * (i + 1) / 2.0
         psi_vals = np.array([float(self.psi(x)) for x in xs])
+        if not np.all(np.isfinite(psi_vals)):
+            k = int(np.argmin(np.isfinite(psi_vals)))
+            raise ValidationError(
+                f"psi must be finite on the atom set, got psi({xs[k]}) = {psi_vals[k]}")
         if np.any(psi_vals < 0):
             raise ValidationError("psi must be nonnegative")
         if np.any(np.diff(psi_vals) < 0):

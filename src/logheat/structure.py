@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import mixture_hessian_lower
-from .errors import NumericalError, PreconditionError, ValidationError
+from .errors import NumericalError, PreconditionError, ValidationError, check_finite
 from .measures import GaussianMixture, _kernel
 
 __all__ = [
@@ -83,6 +83,7 @@ def lemma4_decompose(
     [-radius - grid_halfwidth, radius + grid_halfwidth]; the first violation
     raises PreconditionError naming the point, a non-finite U NumericalError.
     """
+    check_finite(alpha=alpha, beta=beta, radius=radius, grid_halfwidth=grid_halfwidth)
     if beta < 0 or radius < 0:
         raise ValidationError("beta and radius must be nonnegative")
     half = radius + grid_halfwidth

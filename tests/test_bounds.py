@@ -193,6 +193,36 @@ class TestLsiTransfer:
             lsi_transfer(-1.0, 1.0)
 
 
+class TestArgumentRange:
+    @pytest.mark.parametrize("fn, args, pattern", [
+        (thm2_envelope, (1.0, 0.0, math.inf), "t must be finite, got inf"),
+        (thm2_envelope, (math.nan, 0.0, 1.0), "alpha must be finite"),
+        (thm2_envelope, (1.0, math.inf, 1.0), "lip must be finite"),
+        (thm2_envelope, (1.0, 0.0, 1e-320), "t = 1e-320 is out of range: 1/t overflows"),
+        (cor7_envelope, (1.0, 0.0, math.inf), "t must be finite"),
+        (cor7_envelope, (math.inf, 0.0, 1.0), "alpha must be finite"),
+        (cor7_envelope, (1.0, math.nan, 1.0), "lip must be finite"),
+        (cor7_envelope, (1.0, 0.0, 1e-320), r"t = 1e-320 is out of range: e\^\(2t\) - 1 or its"),
+        (cor7_envelope, (1.0, 0.0, 400.0), r"t = 400\.0 is out of range: e\^\(2t\) - 1 or its"),
+        (compact_support_lower, (math.inf, 1.0), "radius must be finite"),
+        (compact_support_lower, (math.nan, 1.0), "radius must be finite"),
+        (compact_support_lower, (1.0, math.nan), "t must be finite"),
+        (compact_support_lower, (1.0, 1e-320), "t = 1e-320 is out of range: 1/t overflows"),
+        (log_concavity_time, (math.inf, 1.0), "alpha must be finite"),
+        (log_concavity_time, (1.0, math.nan), "lip must be finite"),
+        (integrated_ou_upper, (math.nan, 0.0), "alpha must be finite"),
+        (integrated_ou_upper, (1.0, math.inf), "lip must be finite"),
+        (lsi_transfer, (math.inf, 1.0), "C must be finite"),
+        (lsi_transfer, (1.0, math.nan), "lip_map must be finite"),
+        (PerturbationParams, (math.nan,), "alpha must be finite"),
+        (PerturbationParams, (1.0, math.inf), "lip must be finite"),
+        (PerturbationParams, (1.0, 0.0, math.nan), "third_deriv must be finite"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_bad_argument_named(self, fn, args, pattern):
+        with pytest.raises(ValidationError, match=f"^{pattern}"):
+            fn(*args)
+
+
 def _pairwise_lower(mixture, x):
     """(refined, crude) at one point by the explicit sum over component pairs,
     in the paper's convention U_i = |x - m_i|^2 / sigma_i^2, sigma_i^2 = 2 v_i."""

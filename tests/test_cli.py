@@ -303,21 +303,42 @@ class TestReverseSde:
 
 
 class TestInvalidArguments:
-    @pytest.mark.parametrize("argv", [
-        ["hessian-scan", "--measure", "{mix}", "--t", "1", "--points", "0"],
-        ["hessian-scan", "--measure", "{mix}", "--t", "1", "--points", "-3"],
-        ["mixture", "--measure", "{mix}", "--points", "0"],
-        ["transport", "--measure", "{gauss}", "--points", "9", "--samples", "0"],
-        ["transport", "--measure", "{gauss}", "--points", "1", "--samples", "10"],
-        ["decompose", "--coeffs", "0,0,x"],
+    @pytest.mark.parametrize("argv, prefix", [
+        ("hessian-scan --measure {mix} --t 1 --points 0", "--points must"),
+        ("hessian-scan --measure {mix} --t 1 --points -3", "--points must"),
+        ("mixture --measure {mix} --points 0", "--points must"),
+        ("transport --measure {gauss} --points 9 --samples 0", "n_samples must"),
+        ("transport --measure {gauss} --points 1 --samples 10", "need n_points"),
+        ("decompose --coeffs 0,0,x", "--coeffs must"),
+        ("bounds --alpha 1 --t inf", "t must be finite"),
+        ("bounds --alpha 1 --lip inf --t 1", "lip must be finite"),
+        ("bounds --alpha 1 --t 1e-320", "t = 1e-320 is out of range: 1/t overflows"),
+        ("bounds --alpha 1 --t 400", "t = 400.0 is out of range: e^(2t) - 1"),
+        ("bounds --alpha 1 --t 1 --radius inf", "radius must be finite"),
+        ("bounds --alpha 1 --t 1 --radius nan", "radius must be finite"),
+        ("bounds --alpha 1 --t 1 --radius -1", "radius must be nonnegative"),
+        ("bounds --alpha 1 --t 1 --third-deriv nan", "third_deriv must be finite"),
+        ("decompose --coeffs 0,0,1 --radius nan", "radius must be finite"),
+        ("decompose --coeffs 0,0,1 --radius inf", "radius must be finite"),
+        ("decompose --coeffs 0,0,1 --alpha nan", "alpha must be finite"),
+        ("decompose --coeffs 0,0,1 --beta nan", "beta must be finite"),
+        ("counterexample --t 1 --target-m inf", "M must be finite"),
+        ("counterexample --t inf --target-m 2", "t must be finite"),
+        ("counterexample --t 1 --target-m 2 --psi linear --coefficient nan", "psi must be finite"),
     ], ids=["scan-points-0", "scan-points-neg", "mixture-points-0", "transport-samples-0",
-            "transport-points-1", "decompose-bad-coeff"])
-    def test_exit_2(self, argv, tmp_path, capsys, mixture_file):
+            "transport-points-1", "decompose-bad-coeff", "bounds-t-inf", "bounds-lip-inf",
+            "bounds-t-1e-320", "bounds-t-400", "bounds-radius-inf", "bounds-radius-nan",
+            "bounds-radius-neg", "bounds-third-deriv-nan", "decompose-radius-nan",
+            "decompose-radius-inf", "decompose-alpha-nan", "decompose-beta-nan",
+            "counterexample-m-inf", "counterexample-t-inf", "counterexample-psi-nan"])
+    def test_exit_2(self, argv, prefix, tmp_path, capsys, mixture_file):
+        # one line on stderr naming the argument, and no report on stdout
         gauss = tmp_path / "gauss.json"
         gauss.write_text(json.dumps({"type": "gaussian_mixture", "components": [[1, [0], 1]]}))
-        argv = [a.format(mix=mixture_file, gauss=gauss) for a in argv] + ["--out", str(tmp_path)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        argv = [a.format(mix=mixture_file, gauss=gauss) for a in argv.split()]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {prefix}") and err.count("\n") == 1 and out == ""
 
 
     @pytest.mark.parametrize("argv", [

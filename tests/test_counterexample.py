@@ -21,6 +21,8 @@ from logheat import (
 from logheat.counterexample import _split, _tail_adequate
 from logheat.measures import _PSI_FUNCTIONS as _PSI
 
+from oracles import counterexample_weights, finite_tilt
+
 
 def psi_zero(x):
     return 0.0
@@ -56,6 +58,13 @@ class TestBuild:
         xs = i * (i + 1) / 2.0
         Z = np.sum(np.exp(-2 * np.log(i + 1.0) - xs * xs))
         assert m.exp_psi_moment == pytest.approx((math.pi**2 / 6) / Z, rel=1e-10)
+
+    @pytest.mark.parametrize("psi, shown", [(lambda x: math.nan, r"got psi\(0\.0\) = nan$"),
+                                            (lambda x: math.inf if x > 5 else 0.0,
+                                             r"got psi\(6\.0\) = inf$")])
+    def test_non_finite_psi_named(self, psi, shown):
+        with pytest.raises(ValidationError, match="^psi must be finite on the atom set, " + shown):
+            build_counterexample(psi, truncation=10)
 
     def test_decreasing_psi_rejected(self):
         with pytest.raises(ValidationError):
@@ -158,6 +167,12 @@ class TestVarianceCertificate:
         with pytest.raises((ValidationError, SearchError)):
             variance_certificate(m, 1.0, 50.0)
 
+    @pytest.mark.parametrize("t, M, name", [(math.inf, 2.0, "t"), (math.nan, 2.0, "t"),
+                                            (1.0, math.inf, "M"), (1.0, math.nan, "M")])
+    def test_non_finite_argument_named(self, t, M, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            variance_certificate(build_counterexample(psi_zero, truncation=10), t, M)
+
     def test_unreached_target_names_the_last_split(self):
         m = build_counterexample(psi_zero, truncation=10)
         with pytest.raises(SearchError, match=r"^variance target M\^2 = 36\.0 not reached within "
@@ -231,11 +246,9 @@ class TestNewtonSearch:
         assert cert.j == j_ref
         assert cert.escalations == len(calls) - 1
         assert abs(cert.z_star - z_ref) <= 2e-12 * max(1.0, abs(z_ref))
-        with mpmath.workdps(40):
-            z, tt = mpmath.mpf(cert.z_star), mpmath.mpf(t)
-            w = [mpmath.exp(mpmath.mpf(lw) - (mpmath.mpf(x) - z) ** 2 / (2 * tt))
-                 for lw, x in zip(m.log_weights, m.locations)]
-            assert abs(mpmath.fsum(w[: cert.j]) / mpmath.fsum(w) - 0.5) <= 1e-12
+        weights, locations = counterexample_weights(_PSI[psi](c), truncation)
+        r = finite_tilt(weights, locations, np.zeros(truncation + 1), [cert.z_star], t)[3]
+        assert abs(np.sum(r[: cert.j]) - 0.5) <= 1e-12
         tm = tilted_moments(m, [cert.z_star], t)
         assert cert.variance == pytest.approx(tm.covariance[0, 0], rel=1e-12)
         assert cert.split_evals / len(calls) <= 0.5 * np.mean(calls)
@@ -400,18 +413,14 @@ class TestTwoAtom:
     @pytest.mark.parametrize("x0", [3.0, 1e4, 1e6, 1e8, 1e9, -1e8])
     @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
     def test_curvature_at_z_bar_far_atoms(self, x0, t):
-        # reference: the 60-digit curvature (1/t)(1 - p0 p1 x0^2/t) at the
-        # float z_bar, whose tilted weights p1/p0 = (w1/w0) e^{(z x0 - x0^2/2)/t}
-        # carry the rounding of z_bar; the tilt exponent is large and cancels
-        with mpmath.workdps(60):
-            for w0 in (0.5, 0.3, 0.1, 0.9, 1e-6):
-                rec = two_atom_analysis(x0, w0, 1.0 - w0, t)
-                z, x, tt = mpmath.mpf(rec.z_bar), mpmath.mpf(x0), mpmath.mpf(t)
-                w0n = mpmath.mpf(w0) / (mpmath.mpf(w0) + mpmath.mpf(1.0 - w0))
-                ratio = (1 - w0n) / w0n * mpmath.exp((z * x - x * x / 2) / tt)
-                var = ratio / (1 + ratio) ** 2 * x * x
-                want = (1 - var / tt) / tt
-                assert abs(rec.curvature_at_z_bar - want) <= 1e-12 * abs(want), w0
+        # reference: the exact curvature (1/t)(1 - Var/t) of the tilt at the float
+        # z_bar, whose tilted weights carry the rounding of z_bar; the tilt exponent
+        # (z x0 - x0^2/2)/t is large and cancels
+        for w0 in (0.5, 0.3, 0.1, 0.9, 1e-6):
+            rec = two_atom_analysis(x0, w0, 1.0 - w0, t)
+            var = finite_tilt([w0, 1.0 - w0], [[0.0], [x0]], [0.0, 0.0], [rec.z_bar], t)[2][0, 0]
+            want = (1.0 - var / t) / t
+            assert abs(rec.curvature_at_z_bar - want) <= 1e-12 * abs(want), w0
         # equal weights: z_bar = x0/2 exactly, at the closed form
         want = (1.0 - x0 * x0 / (4.0 * t)) / t
         assert two_atom_analysis(x0, 0.5, 0.5, t).curvature_at_z_bar == pytest.approx(

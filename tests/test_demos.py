@@ -1,5 +1,7 @@
-"""The demos run to completion against the current API, and the benchmark's
-tracer names only functions the library has."""
+"""The demos run to completion against the current API, the benchmark's
+tracer names only functions the library has, and the test oracles import
+nothing from it."""
+import ast
 import importlib
 import importlib.util
 import os
@@ -35,3 +37,14 @@ def test_traced_functions_exist():
     for module, name in tracing.TRACED:
         fn = vars(importlib.import_module(f"logheat.{module}")).get(name)
         assert callable(fn), f"logheat.{module}.{name}"
+
+
+def test_oracles_import_no_logheat():
+    # tests/oracles.py works from plain data: a library import there could hide
+    # a defect in the oracle that checks it (names in strings: __import__)
+    with open(os.path.join(os.path.dirname(__file__), "oracles.py")) as fh:
+        nodes = list(ast.walk(ast.parse(fh.read())))
+    names = [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+    names += [n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.module]
+    names += [n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    assert not [name for name in names if name.split(".")[0] == "logheat"]

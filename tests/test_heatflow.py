@@ -2,7 +2,6 @@
 import math
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +32,7 @@ from logheat.heatflow import _tilt, marginal_stats_1d
 from logheat.measures import convolve_gaussian
 
 from conftest import random_atomic, random_mixture, random_perturbed
+from oracles import counterexample_weights, finite_tilt, mixture_posterior, panel_tilt
 
 
 def two_atoms():
@@ -81,18 +81,12 @@ class TestTiltedMoments:
                 _tilt(two_atoms(), zs, t)
 
     def test_perturbed_vs_trapezoid(self):
-        pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[1.0, -1.0])
+        # named for the trapezoid rule on log_density it used; the exact panel tilt is stricter
+        args = (1.0, [], [0.0], [0.0], [1.0, -1.0])
         z, t = 0.7, 0.8
-        tm = tilted_moments(pm, [z], t)
-        xs = np.linspace(-30, 30, 400001)
-        logv = (log_density(pm, xs[:, None])
-                - (xs - z) ** 2 / (2 * t) - 0.5 * math.log(2 * math.pi * t))
-        w = np.exp(logv - logv.max())
-        dx = xs[1] - xs[0]
-        mass = w.sum() * dx
-        mean = (w * xs).sum() * dx / mass
-        var = (w * (xs - mean) ** 2).sum() * dx / mass
-        assert tm.mass_log == pytest.approx(math.log(mass) + logv.max(), abs=1e-9)
+        tm = tilted_moments(make_perturbed(*args), [z], t)
+        mass_log, mean, var = panel_tilt(args, z, t)
+        assert tm.mass_log == pytest.approx(mass_log, abs=1e-9)
         assert tm.mean[0] == pytest.approx(mean, abs=1e-9)
         assert tm.covariance[0, 0] == pytest.approx(var, abs=1e-9)
 
@@ -194,21 +188,6 @@ class TestOuDerivatives:
         assert h[0, 0] == pytest.approx(fd_h, abs=1e-4)
 
 
-def _mixture_log_hessian_mp(components, z, t):
-    """-d^2/dz^2 log sum_k w_k N(z; m_k, s_k + t), in 50-digit arithmetic."""
-    with mpmath.workdps(50):
-        z = mpmath.mpf(z)
-        p = dp = d2p = mpmath.mpf(0)
-        for w, m, s in components:
-            var = mpmath.mpf(s) + mpmath.mpf(t)
-            u = (z - mpmath.mpf(m)) / var
-            phi = mpmath.mpf(w) * mpmath.npdf(z, mpmath.mpf(m), mpmath.sqrt(var))
-            p += phi
-            dp += -u * phi
-            d2p += (u * u - 1 / var) * phi
-        return float(-(d2p / p - (dp / p) ** 2))
-
-
 class TestCentredAggregation:
     """Far tilts and small t, where uncentred second moments cancel."""
 
@@ -231,7 +210,9 @@ class TestCentredAggregation:
         m = make_gaussian_mixture([(w, [mu], s) for w, mu, s in comps])
         z, t = 100.0, 1e-4
         got = log_hessian_heat(m, [z], t)[0, 0]
-        assert got == pytest.approx(_mixture_log_hessian_mp(comps, z, t), rel=1e-10)
+        w, means, s = zip(*comps)
+        want = -mixture_posterior(w, means, np.add(s, t), [z])["log_hessian"][0, 0]
+        assert got == pytest.approx(want, rel=1e-10)
 
     def test_translated_mixture(self):
         # both components keep comparable tilted weights 1e4 away from 0
@@ -239,18 +220,9 @@ class TestCentredAggregation:
         m = make_gaussian_mixture([(w, [mu], s) for w, mu, s in comps])
         z, t = 1e4 + 0.3, 1e-2
         got = log_hessian_heat(m, [z], t)[0, 0]
-        assert got == pytest.approx(_mixture_log_hessian_mp(comps, z, t), rel=1e-10)
-
-
-def _counterexample_mean_mp(n, z, t):
-    """Tilted mean of the psi = 0 counterexample truncated at n, at 60 digits."""
-    with mpmath.workdps(60):
-        num = den = mpmath.mpf(0)
-        for i in range(n + 1):
-            x = mpmath.mpf(i * (i + 1)) / 2
-            w = mpmath.exp((z * x - x * x / 2) / mpmath.mpf(t)) / (i + 1) ** 2
-            num, den = num + w * x, den + w
-        return num / den
+        w, means, s = zip(*comps)
+        want = -mixture_posterior(w, means, np.add(s, t), [z])["log_hessian"][0, 0]
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestAtomTiltDigits:
@@ -262,7 +234,8 @@ class TestAtomTiltDigits:
                                        (60, -32.0, 18.0), (60, -40.0, 0.5)])
     def test_counterexample_mean_matches_mpmath(self, n, z, t):
         m = build_counterexample(lambda x: 0.0, truncation=n)
-        want = _counterexample_mean_mp(n, z, t)
+        weights, locations = counterexample_weights(lambda x: 0.0, n)
+        want = finite_tilt(weights, locations, np.zeros(n + 1), [z], t)[1][0]
         got = tilted_moments(m, [z], t).mean[0]
         assert abs(got - want) <= 1e-14 * abs(want)
 

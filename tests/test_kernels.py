@@ -9,13 +9,12 @@ The kernels in ``src/`` must
 reproduce them to rounding; the in-place panel kernel and the row blocks of
 ``_tilt`` must reproduce theirs bit for bit.  Far from every mixture
 component the (n, k, d) logits round alike, and the library weighs the
-components relative to the heaviest instead: such rows are checked against a
-50-digit oracle, to the same tolerance.
+components relative to the heaviest instead: such rows are checked against the
+exact posterior and tilt of ``oracles.py``, to the same tolerance.
 """
 import math
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +33,8 @@ from logheat import (
 from logheat import measures as ms
 from logheat.heatflow import _tilt
 from logheat.measures import _LOG_2PI, _log_gauss_mass, _panel_moments, _pool
+
+from oracles import finite_tilt, mixture_posterior
 
 
 def _panel_moments_all_edges(C, B, A, edges):
@@ -160,36 +161,6 @@ def _far_rows(weights, means, variances, xs):
     return np.max(logits, axis=1) < -1024.0
 
 
-def _posterior_mp(weights, means, variances, x, tilt=None):
-    """At one row x, in 50 digits: log-density, score, log-Hessian and, given
-    tilt = (s, t) with variances the rounded s + t, the tilted mean and covariance."""
-    with mpmath.workdps(50):
-        x = mpmath.matrix(x.tolist())
-        m = [mpmath.matrix(row.tolist()) for row in means]
-        v = [mpmath.mpf(float(q)) for q in variances]
-        logits = [mpmath.log(float(w)) - len(x) * mpmath.log(2 * mpmath.pi * q) / 2
-                  - mpmath.fsum(e * e for e in x - mk) / (2 * q) for w, mk, q in zip(weights, m, v)]
-        top = max(logits)
-        e = [mpmath.exp(q - top) for q in logits]
-        total = mpmath.fsum(e)
-        r = [q / total for q in e]
-        g = [-(x - mk) / q for mk, q in zip(m, v)]
-
-        def pooled(vecs, diag):
-            mean = sum((q * u for q, u in zip(r, vecs)), mpmath.zeros(len(x), 1))
-            cov = sum(((u - mean) * (u - mean).T * q for q, u in zip(r, vecs)),
-                      mpmath.eye(len(x)) * diag)
-            return np.array(mean.tolist(), dtype=float)[:, 0], np.array(cov.tolist(), dtype=float)
-
-        out = {"log_density": float(mpmath.log(total) + top)}
-        out["score"], out["log_hessian"] = pooled(g, -mpmath.fsum(q / u for q, u in zip(r, v)))
-        if tilt is not None:
-            s, t = [mpmath.mpf(float(q)) for q in tilt[0]], mpmath.mpf(tilt[1])
-            out["tilt"] = pooled([mk - sk * gk for mk, sk, gk in zip(m, s, g)],
-                                 mpmath.fsum(q * sk * t / u for q, sk, u in zip(r, s, v)))
-        return out
-
-
 def assert_matches(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -302,9 +273,8 @@ class TestMixtureKernel:
         for g, w in zip(got, want):
             assert_matches(g[~far], w[~far])
         for i in np.flatnonzero(far):
-            exact = _posterior_mp(mu.weights, mu.means, mu.variances + t, zs[i],
-                                  tilt=(mu.variances, t))
-            for g, w in zip(got, (exact["log_density"], *exact["tilt"])):
+            exact = finite_tilt(mu.weights, mu.means, mu.variances, zs[i], t)
+            for g, w in zip(got, exact[:3]):
                 assert_matches(g[i], w)
 
     @settings(max_examples=200, deadline=None)
@@ -320,7 +290,7 @@ class TestMixtureKernel:
         for name, g in got.items():
             assert_matches(g[~far], want[name][~far])
         for i in np.flatnonzero(far):
-            exact = _posterior_mp(mu.weights, mu.means, mu.variances, xs[i])
+            exact = mixture_posterior(mu.weights, mu.means, mu.variances, xs[i])
             for name, g in got.items():
                 assert_matches(g[i], exact[name])
 

@@ -39,6 +39,7 @@ from logheat.heatflow import _tilt, marginal_stats_1d, ou_log_derivatives
 from logheat.measures import _log_gauss_mass, _quantile_grid, _segments, quantile_1d
 
 from conftest import random_mixture, random_perturbed, random_perturbed_args
+from oracles import log_gauss_mass, mixture_posterior, panel_tilt
 
 
 class TestConstruction:
@@ -237,23 +238,15 @@ class TestLogDerivatives:
 
     def test_far_out_equal_variances_keep_digits(self):
         # component scores -(x - m_k)/v_k are equal huge numbers (~2e53) that
-        # differ in the 54th digit; the 50-digit log-Hessian is -1 + O(1e-108)
+        # differ in the 54th digit; the exact log-Hessian is -1 + O(1e-108)
         comps = [(0.3, 0.0, 1.0), (0.5, 1e-54, 1.0), (0.2, 2.5e-54, 1.0)]
         g = make_gaussian_mixture([(w, [m], v) for w, m, v in comps])
         xs = [-1.7e53, -3e10, 0.7, 4e12, 2.2e53]
         got = log_hessian(g, np.array(xs)[:, None])[:, 0, 0]
-        with mpmath.workdps(50):
-            for x, h in zip(xs, got):
-                x = mpmath.mpf(x)
-                logits = [mpmath.log(w) - (x - m) ** 2 / (2 * v) for w, m, v in comps]
-                top = max(logits)
-                r = [mpmath.exp(q - top) for q in logits]
-                r = [q / mpmath.fsum(r) for q in r]
-                s = [-(x - m) / v for _, m, v in comps]
-                mean = mpmath.fsum(q * u for q, u in zip(r, s))
-                want = mpmath.fsum(q * (u - mean) ** 2 - q / v
-                                   for q, u, (_, _, v) in zip(r, s, comps))
-                assert abs(h - want) <= 1e-14 * abs(want), float(x)
+        w, m, v = zip(*comps)
+        for x, h in zip(xs, got):
+            want = mixture_posterior(w, m, v, [x])["log_hessian"][0, 0]
+            assert abs(h - want) <= 1e-14 * abs(want), x
 
     def test_weight_scaling_invariance(self, rng):
         comps = [(0.3, [0.0], 1.0), (0.7, [1.5], 0.5)]
@@ -395,13 +388,11 @@ class TestFarRows:
         # log-Hessian is -sum_k r_k/v_k, with r_k prop. to w_k/sqrt(v_k) at x = m
         mix = GaussianMixture(dim=1, weights=[0.5, 0.5], means=[[1e299], [1e299]],
                               variances=[1e-10, 2e-10])
-        with mpmath.workdps(50):
-            v = [mpmath.mpf(q) for q in mix.variances]
-            r = [1 / mpmath.sqrt(q) for q in v]
-            want = -mpmath.fsum(q / u for q, u in zip(r, v)) / mpmath.fsum(r)
+        want = mixture_posterior([0.5, 0.5], [[1e299], [1e299]], [1e-10, 2e-10], [1e299])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert log_hessian(mix, [1e299])[0, 0] == pytest.approx(float(want), rel=1e-15)
+            assert log_hessian(mix, [1e299])[0, 0] == pytest.approx(
+                want["log_hessian"][0, 0], rel=1e-15)
 
     def test_far_apart_atoms(self):
         atoms = AtomicMeasure(dim=1, weights=np.array([0.5, 0.5]),
@@ -427,13 +418,11 @@ class TestConvolution:
         assert np.allclose(sorted(c.means[:, 0]), [0.0, 2.0])
 
     def test_perturbed_density_vs_trapezoid(self):
-        pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[1.0, -1.0])
-        xs = np.linspace(-25, 25, 400001)
-        base = np.exp(log_density(pm, xs[:, None]))
-        kern = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
-        # value of the convolution at 0 by direct integration
-        oracle = np.trapezoid(base * np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi), xs)
-        assert math.exp(tilted_log_mass(pm, [0.0], 1.0)) == pytest.approx(oracle, abs=1e-8)
+        # named for the trapezoid rule on log_density it used; the exact panel tilt is stricter
+        args = (1.0, [], [0.0], [0.0], [1.0, -1.0])
+        oracle = math.exp(panel_tilt(args, 0.0, 1.0)[0])
+        assert math.exp(tilted_log_mass(make_perturbed(*args), [0.0], 1.0)) == pytest.approx(
+            oracle, abs=1e-8)
 
     def test_semigroup_property(self, rng):
         pm = random_perturbed(rng)
@@ -603,16 +592,6 @@ class TestDilate:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * c * c)
 
 
-def _log_gauss_mass_mp(a, b):
-    """log(Phi(b) - Phi(a)) at 60 digits; a right-hand interval is reflected
-    so that the two CDF values are not both within 1e-60 of 1."""
-    with mpmath.workdps(60):
-        a, b = mpmath.mpf(a), mpmath.mpf(b)
-        if a + b > 0:
-            a, b = -b, -a
-        return float(mpmath.log(mpmath.ncdf(b) - mpmath.ncdf(a)))
-
-
 _INTERVALS = [
     # left of 0
     (-1.0, -0.5), (-5.0, -4.999), (-3.0, -1e-3), (-40.0, -39.0), (-1e3, -999.0),
@@ -630,7 +609,7 @@ class TestLogGaussMass:
     def test_matches_60_digit_oracle(self):
         a, b = np.array(_INTERVALS).T
         got = _log_gauss_mass(a, b)
-        want = np.array([_log_gauss_mass_mp(lo, hi) for lo, hi in _INTERVALS])
+        want = np.array([log_gauss_mass(lo, hi) for lo, hi in _INTERVALS])
         # relative error, or absolute where |value| < 1
         err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
         assert np.max(err) <= 1e-12, _INTERVALS[int(np.argmax(err))]
@@ -643,7 +622,7 @@ class TestLogGaussMass:
                      (5.0, 5.0 + 1e-7), (-1e4, math.nextafter(-1e4, 0.0)), (-2.0, -2.0 + 4e-7),
                      (-1e-6, 1e-6), (-3.0, -3.0 + 5e-7), (2.0, 2.0 + 2e-6), (-0.3, -0.2999)]
         a, b = np.array(intervals).T
-        want = np.array([_log_gauss_mass_mp(lo, hi) for lo, hi in intervals])
+        want = np.array([log_gauss_mass(lo, hi) for lo, hi in intervals])
         np.testing.assert_allclose(_log_gauss_mass(a, b), want, rtol=1e-15, atol=0)
         # an empty interval has mass 0
         assert _log_gauss_mass(np.array([2.0]), np.array([2.0]))[0] == -math.inf
@@ -660,7 +639,7 @@ class TestLogGaussMass:
         a, b = c - h, c + h
         lo, hi = (-b, -a) if a > -b else (a, b)
         series = log_ndtr(lo) - log_ndtr(hi) > -1e-3
-        want = _log_gauss_mass_mp(a, b)
+        want = log_gauss_mass(a, b)
         got = _log_gauss_mass(np.array([a]), np.array([b]))[0]
         assert abs(got - want) <= (1e-15 if series else 1e-12) * abs(want)
 

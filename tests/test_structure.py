@@ -11,6 +11,7 @@ from logheat import (
     MixtureAnalysis,
     NumericalError,
     PreconditionError,
+    ValidationError,
     analyze_mixture_1d,
     lemma4_decompose,
     log_concavity_time,
@@ -121,6 +122,14 @@ class TestLemma4Decompose:
     def test_substitution(self):
         dec = lemma4_decompose(lambda x: 2.0 * x * x, alpha=1.0, beta=2.0, radius=1.0)
         assert dec.lip_cert == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("name, value", [("alpha", math.nan), ("alpha", math.inf),
+                                             ("beta", math.nan), ("radius", math.nan),
+                                             ("radius", math.inf), ("grid_halfwidth", math.inf)])
+    def test_non_finite_argument_named(self, name, value):
+        args = {"alpha": 1.0, "beta": 0.0, "radius": 1.0, name: value}
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            lemma4_decompose(lambda x: x * x, **args)
 
     def test_precondition_violation_names_x(self):
         # U'' = -2 everywhere violates alpha = 1 outside any radius

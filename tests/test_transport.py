@@ -3,7 +3,6 @@ reverse-diffusion sampler."""
 import math
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -30,6 +29,8 @@ from logheat import (
 )
 from logheat import transport
 from logheat.heatflow import marginal_stats_1d
+
+from oracles import panel_theta, quantile_map
 
 
 def gaussian_1d(mean=0.0, var=1.0):
@@ -213,28 +214,18 @@ class TestBuildFlowMap:
         assert str(err.value.__cause__).startswith("ODE state blew up near s=0.7499")  # in psi
 
 
-def quantile_map(measure, xs):
-    """The exact flow map F^-1(Phi(x)): 110 bisection steps on cdf_1d over
-    [-64, 64] reach one ulp."""
-    u = stats.norm.cdf(xs)
-    lo, hi = np.full(xs.shape, -64.0), np.full(xs.shape, 64.0)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        above = cdf_1d(measure, mid) >= u
-        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
-
-
 KINK = make_perturbed(1.0, [], [0.0], [0.0], [-1.0, 1.0])
 SHARP = make_perturbed(1.0, [], [0.0], [0.0], [0.8, -0.8])
 MIX = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 1.0)])
-INTERIOR = make_perturbed(1, [-1, 1], [-0.5, 0, 0.5], [0, 2], [-1, 1, 0])
+INTERIOR_ARGS = (1, [-1, 1], [-0.5, 0, 0.5], [0, 2], [-1, 1, 0])
+INTERIOR = make_perturbed(*INTERIOR_ARGS)
 
 
 def flow_error(measure, **kwargs):
     """Max error of the flow map against quantile_map on the 257 default inputs."""
     flow = build_flow_map(measure, **kwargs)
-    return float(np.max(np.abs(flow.images - quantile_map(measure, flow.inputs))))
+    exact = quantile_map(lambda y: cdf_1d(measure, y), flow.inputs)
+    return float(np.max(np.abs(flow.images - exact)))
 
 
 class TestFlowMapAccuracy:
@@ -418,36 +409,6 @@ def theta_rows_per_time(measure, times, space):
     return rows.min(axis=1), rows.max(axis=1)
 
 
-def theta_mpmath(pm, t, x):
-    """theta(t, x) of a perturbed density in 60 digits: the closed-form
-    variance of mu tilted by N(e^t x, tau), tau = e^{2t} - 1, on each panel
-    of the potential alpha y^2/2 + b_p y + a_p."""
-    with mpmath.workdps(60):
-        t, x = mpmath.mpf(t), mpmath.mpf(x)
-        tau = mpmath.expm1(2 * t)
-        z = mpmath.exp(t) * x
-        C = mpmath.mpf(pm.alpha) + 1 / tau
-        sigma = 1 / mpmath.sqrt(C)
-        s0 = s1 = s2 = mpmath.mpf(0)
-        for lo, hi, a, b in zip(pm.panel_edges[:-1], pm.panel_edges[1:], pm.panel_a, pm.panel_b):
-            B = z / tau - mpmath.mpf(b)
-            m = B / C
-            ends = [(mpmath.mpf(e) - m) / sigma if math.isfinite(e) else mpmath.mpf(e)
-                    for e in (lo, hi)]
-            pdf = [mpmath.npdf(u) for u in ends]
-            upd = [u * p if mpmath.isfinite(u) else mpmath.mpf(0) for u, p in zip(ends, pdf)]
-            if ends[0] + ends[1] > 0:  # in the upper tail Phi rounds to 1: reflect
-                mass = mpmath.ncdf(-ends[0]) - mpmath.ncdf(-ends[1])
-            else:
-                mass = mpmath.ncdf(ends[1]) - mpmath.ncdf(ends[0])
-            w = mpmath.exp(B * B / (2 * C) - mpmath.mpf(a)) * mass
-            mean = m + sigma * (pdf[0] - pdf[1]) / mass
-            var = sigma**2 * (1 + (upd[0] - upd[1]) / mass - ((pdf[0] - pdf[1]) / mass) ** 2)
-            s0, s1, s2 = s0 + w, s1 + w * mean, s2 + w * (var + mean**2)
-        var_tau = s2 / s0 - (s1 / s0) ** 2
-        return float((var_tau / tau - 1) / -mpmath.expm1(-2 * t) + 1)
-
-
 THETA_TARGETS = {
     "kink": KINK,
     "mix": MIX,
@@ -485,7 +446,7 @@ class TestThetaFromHeatTilts:
         # (Var/tau - 1) / (1 - e^{-2t}); on this grid the per-time OU path
         # is off by up to 2.0e-9 pointwise and the heat tilts by 1.7e-9 at the max
         t, space = 1e-4, np.linspace(-9.0, 9.0, 401)
-        exact = np.array([theta_mpmath(INTERIOR, t, x) for x in space])
+        exact = np.array([panel_theta(INTERIOR_ARGS, t, x) for x in space])
         env = theta_envelope(INTERIOR, time_grid=[t], space_grid=space)
         assert abs(env.theta_max[0] - exact.max()) <= 3e-9
         assert abs(env.theta_min[0] - exact.min()) <= 3e-9
