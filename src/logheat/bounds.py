@@ -30,6 +30,21 @@ __all__ = [
 ]
 
 
+def _evaluated(formula: str, compute, **args: float):
+    """compute(), a float or a tuple of floats, or a ValidationError naming ``args`` where
+    the float arithmetic of ``formula`` overflows: to inf, to an OverflowError, or to a
+    division by a product that underflowed to 0."""
+    try:
+        value = compute()
+        if all(math.isfinite(v) for v in np.atleast_1d(value)):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    names = ", ".join(f"{name} = {v!r}" for name, v in args.items())
+    raise ValidationError(f"{names} {'are' if len(args) > 1 else 'is'} out of range: "
+                          f"{formula} overflows")
+
+
 @dataclass(frozen=True)
 class PerturbationParams:
     """(alpha, L, K) bundle for the transport-constant formulas."""
@@ -57,7 +72,9 @@ def thm2_envelope(alpha: float, lip: float, t: float) -> tuple[float, float]:
     if lip < 0:
         raise ValidationError("lip must be nonnegative")
     c = alpha + 1.0 / t
-    lower = (1.0 / t) * (1.0 - (1.0 / t) * (lip / c + math.sqrt(1.0 / c)) ** 2)
+    lower = _evaluated("(lip/c + c^-1/2)^2 / t, c = alpha + 1/t",
+                       lambda: (1.0 / t) * (1.0 - (1.0 / t) * (lip / c + math.sqrt(1.0 / c)) ** 2),
+                       alpha=alpha, lip=lip, t=t)
     return lower, 1.0 / t
 
 
@@ -68,7 +85,8 @@ def log_concavity_time(alpha: float, lip: float) -> float:
         raise DomainError("alpha must be positive")
     if lip < 0:
         raise ValidationError("lip must be nonnegative")
-    return (lip / alpha + 1.0 / math.sqrt(alpha)) ** 2
+    return _evaluated("(lip/alpha + alpha^-1/2)^2",
+                      lambda: (lip / alpha + 1.0 / math.sqrt(alpha)) ** 2, alpha=alpha, lip=lip)
 
 
 def compact_support_lower(radius: float, t: float) -> float:
@@ -108,11 +126,11 @@ def cor7_envelope(alpha: float, lip: float, t: float) -> tuple[float, float]:
     den = alpha * tau + 1.0
     e2t = tau + 1.0
     lower = -1.0 / tau
-    upper = (
+    upper = _evaluated("the upper envelope", lambda: (
         (1.0 - alpha) / den
         + e2t * lip * lip / (den * den)
         + 2.0 * lip * e2t / (math.sqrt(tau) * den**1.5)
-    )
+    ), alpha=alpha, lip=lip, t=t)
     return lower, upper
 
 
@@ -123,7 +141,9 @@ def integrated_ou_upper(alpha: float, lip: float) -> float:
         raise DomainError("alpha must be positive")
     if lip < 0:
         raise ValidationError("lip must be nonnegative")
-    return -0.5 * math.log(alpha) + lip * lip / (2.0 * alpha) + 2.0 * lip / math.sqrt(alpha)
+    return _evaluated("lip^2/(2 alpha) + 2 lip/alpha^1/2", lambda: (
+        -0.5 * math.log(alpha) + lip * lip / (2.0 * alpha) + 2.0 * lip / math.sqrt(alpha)),
+        alpha=alpha, lip=lip)
 
 
 def transport_constants(params: PerturbationParams) -> dict[str, float]:
@@ -132,9 +152,10 @@ def transport_constants(params: PerturbationParams) -> dict[str, float]:
     if not a > 0:
         raise DomainError("alpha must be positive")
     caff = 1.0 / math.sqrt(a)
-    flow = caff * math.exp(L * L / (2.0 * a) + 2.0 * L / math.sqrt(a))
-    fms = caff * math.exp(5.0 * L * L / a + 5.0 * math.sqrt(math.pi) * L / math.sqrt(a)
-                          + L * K / (2.0 * a * a))
+    flow, fms = _evaluated("the thm3 or fms constant", lambda: (
+        caff * math.exp(L * L / (2.0 * a) + 2.0 * L / math.sqrt(a)),
+        caff * math.exp(5.0 * L * L / a + 5.0 * math.sqrt(math.pi) * L / math.sqrt(a)
+                        + L * K / (2.0 * a * a))), alpha=a, lip=L, third_deriv=K)
     return {"caffarelli": caff, "thm3": flow, "fms": fms}
 
 
@@ -143,7 +164,7 @@ def lsi_transfer(C: float, lip_map: float) -> float:
     check_finite(C=C, lip_map=lip_map)
     if not (C > 0 and lip_map > 0):
         raise ValidationError("C and lip_map must be positive")
-    return lip_map * lip_map * C
+    return _evaluated("lip_map^2 C", lambda: lip_map * lip_map * C, C=C, lip_map=lip_map)
 
 
 def mixture_hessian_lower(mixture: GaussianMixture, x) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ import numpy as np
 from . import measures as ms
 from .errors import CapabilityError, ValidationError
 from .measures import _points
+from .numerics import _gauss_legendre
 
 __all__ = [
     "TiltedMoments",
@@ -161,7 +162,7 @@ def wasserstein2_1d(mu, nu) -> float:
         ds = math.sqrt(float(s1[0])) - math.sqrt(float(s2[0]))
         return math.hypot(dm, ds)
     else:
-        nodes, weights = np.polynomial.legendre.leggauss(512)
+        nodes, weights = _gauss_legendre(512)
         u, w = 0.5 * (nodes + 1.0), 0.5 * weights
     q1 = ms.quantile_1d(mu, u)
     q2 = ms.quantile_1d(nu, u)

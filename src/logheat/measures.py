@@ -286,20 +286,6 @@ def _with_fields(obj, **fields):
     return out
 
 
-def _quantile_grid(measure, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF at u, interpolated in a monotone 8001-point (cdf, x) table of a 1D density."""
-    mean, var = mean_variance_1d(measure)
-    half = 10.0 * math.sqrt(var) + 1.0
-    xs = np.linspace(mean - half, mean + half, 8001)
-    cdf = np.maximum.accumulate(cdf_1d(measure, xs))
-    return np.interp(u, cdf, xs)
-
-
-def _density_quantile(measure, u: np.ndarray) -> np.ndarray:
-    """``_quantile_grid``, with the ends of the support, -inf and inf, at u = 0 and 1."""
-    return np.where(u == 0.0, -math.inf, np.where(u == 1.0, math.inf, _quantile_grid(measure, u)))
-
-
 # ---------------------------------------------------------------------------
 # measure classes and their kernels: _tilt(zs, t) gives (log_mass (n,), mean
 # (n, d), cov (n, d, d)) of mu_{z,t} at (n, d) points zs, with t a float or one
@@ -330,17 +316,34 @@ class _Finite:
         mean, cov = _pool(pi, c[:, :, None] - s.reshape(-1, 1, 1) * g, diag)
         return log_mass, mean.T, cov.transpose(2, 0, 1)
 
+    def _rebuilt(self, w, c, s):
+        # a mixture where s > 0, atoms where s = 0, not through the constructor: with the
+        # parent's log-weights, a weight may underflow to 0
+        mixture = s.any()
+        out = object.__new__(GaussianMixture if mixture else AtomicMeasure)
+        out.__dict__.update({"means": c, "variances": s} if mixture else {"locations": c},
+                            dim=self.dim, weights=w, log_weights=self.log_weights)
+        return out
+
     def _convolve(self, t):
         w, c, s = self._components()
         with np.errstate(over="ignore"):
             v = s + t
         if not np.all(v < math.inf):
             raise ValidationError(f"t={t!r} takes a component variance s + t past the float range")
-        # not through the constructor: with the parent's log-weights, a weight may underflow to 0
-        out = object.__new__(GaussianMixture)
-        out.__dict__.update(dim=self.dim, weights=w, means=c, variances=v,
-                            log_weights=self.log_weights)
-        return out
+        return self._rebuilt(w, c, v)
+
+    def _dilate(self, a):
+        # scaled centres may overflow, and variances overflow or underflow, which the check
+        # reports; atoms may underflow onto one another, a valid measure (their weights add)
+        w, c, s = self._components()
+        with np.errstate(over="ignore", under="ignore"):
+            c, v = c * a, s * a * a
+        if not (np.isfinite(c).all() and np.isfinite(v).all()
+                and np.count_nonzero(v) == np.count_nonzero(s)):
+            raise ValidationError(f"dilation by {a!r} takes the centres or variances out of "
+                                  "the finite range")
+        return self._rebuilt(w, c, v)
 
     def _mean_variance(self):
         w, c, s = self._components_1d()
@@ -359,9 +362,32 @@ class _Finite:
         if not s.any():  # a step CDF: the first atom at which it reaches u
             order = np.argsort(c)
             return c[order][np.minimum(np.searchsorted(np.cumsum(w[order]), u), c.size - 1)]
-        if w.size > 1:
-            return _density_quantile(self, u)
-        return float(c[0]) + math.sqrt(float(s[0])) * ndtri(u)
+        # u > 1/2 is the quantile of the mirror image -X at 1 - u (exact), so only log F(y) =
+        # log v, v <= 1/2, is solved, by safeguarded Newton as numerics.find_root does, from the
+        # left end of the bracket [min q_k, max q_k] of the components' own quantiles, to 4 ulps
+        # of max(1, |y|).  One component, or u = 0 or 1, has the root as its bracket
+        sign, sd = np.where(u > 0.5, -1.0, 1.0), np.sqrt(s)
+        v, centres = np.minimum(u, 1.0 - u), sign[:, None] * c
+        q = centres + sd * ndtri(v)[:, None]
+        y, hi = np.min(q, axis=1), np.max(q, axis=1)
+        i = np.flatnonzero(y < hi)
+        lo, hi, log_v, centres = y[i], hi[i], np.log(v[i]), centres[i]
+        x, step = lo, hi - lo
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            while i.size:
+                z = (x[:, None] - centres) / sd
+                F = ndtr(z) @ w
+                g = np.log(F) - log_v
+                g[np.abs(g) <= 2.0**-50] = 0.0  # log F is log v to rounding: x is the root
+                lo, hi = np.where(g < 0, x, lo), np.where(g < 0, hi, x)
+                new = x - g * F / (np.exp(-0.5 * (z * z + _LOG_2PI)) @ (w / sd))
+                bisect = ~((lo <= new) & (new <= hi) & (np.abs(new - x) <= 0.5 * step))
+                new[bisect] = 0.5 * (lo + hi)[bisect]
+                step, y[i] = np.abs(new - x), new
+                go = step > 2.0**-50 * np.maximum(np.abs(new), 1.0)  # as does 1 ulp's bisection
+                i, x, lo, hi, step, log_v, centres = (
+                    a[go] for a in (i, new, lo, hi, step, log_v, centres))
+        return sign * y
 
     def _sample(self, rng, n):
         w, c, s = self._components()
@@ -431,16 +457,6 @@ class GaussianMixture(_Finite):
             np.copyto(dg, 0.0, where=(r == 0)[:, None])
         return _pool(r, dg, diag)[1].transpose(2, 0, 1)
 
-    def _dilate(self, c):
-        # a field copy: only the scaled means and variances can leave the
-        # valid range, by overflow or underflow, which the check reports
-        with np.errstate(over="ignore", under="ignore"):
-            means, variances = self.means * c, self.variances * c * c
-        if not (np.isfinite(means).all() and ((variances > 0) & (variances < math.inf)).all()):
-            raise ValidationError(f"dilation by {c!r} takes the mixture's means or "
-                                  "variances out of the finite positive range")
-        return _with_fields(self, means=means, variances=variances)
-
 
 @dataclass(frozen=True)
 class AtomicMeasure(_Finite):
@@ -470,16 +486,6 @@ class AtomicMeasure(_Finite):
 
     def _components(self):
         return self.weights, self.locations, np.zeros(self.weights.size)
-
-    def _dilate(self, c):
-        # a field copy, as for a mixture: scaled atoms may overflow, or underflow onto one
-        # another, which leaves a valid measure (coinciding atoms add their weights)
-        with np.errstate(over="ignore", under="ignore"):
-            locations = self.locations * c
-        if not np.isfinite(locations).all():
-            raise ValidationError(f"dilation by {c!r} takes the atom locations out of the "
-                                  "finite range")
-        return _with_fields(self, locations=locations)
 
 
 @dataclass(frozen=True)
@@ -557,28 +563,57 @@ class PerturbedLogConcave1D:
         _, mean, var = _panel_moments(self.alpha, -self.panel_b, -self.panel_a, self.panel_edges)
         return float(mean), float(var)
 
-    def _cdf(self, x):
-        # the whole panels below the panel k holding x, plus panel k over [edge k, x], over
-        # the sum of all panels: 1 at inf exactly.  A piece is at most its whole panel, and
-        # rounding is monotone, so the CDF never steps down at an edge nor exceeds 1
+    def _panels(self):
+        """Per panel, its Gaussian's mode m and scale sigma, its edges lo, hi in standard units,
+        the log-factor that turns a Phi-mass into probability, and its probability."""
         C, edges = self.alpha, self.panel_edges
         m, sigma = -self.panel_b / C, 1.0 / math.sqrt(C)
         log_scale = (0.5 * C * m * m - self.panel_a + 0.5 * math.log(2.0 * math.pi / C)
                      - self.log_normalizer)
         lo, hi = (edges[:-1] - m) / sigma, (edges[1:] - m) / sigma
-        k = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, m.size - 1)
+        return m, sigma, log_scale, lo, hi, np.exp(log_scale + _log_gauss_mass(lo, hi))
+
+    def _cdf(self, x):
+        # the whole panels below the panel k holding x, plus panel k over [edge k, x], over
+        # the sum of all panels: 1 at inf exactly.  A piece is at most its whole panel, and
+        # rounding is monotone, so the CDF never steps down at an edge nor exceeds 1
+        m, sigma, log_scale, lo, _, whole = self._panels()
+        k = np.clip(np.searchsorted(self.panel_edges, x, side="right") - 1, 0, m.size - 1)
         with np.errstate(divide="ignore", invalid="ignore"):  # empty piece: x on edge k
             part = _log_gauss_mass(lo[k], (x - m[k]) / sigma)
-        whole = np.exp(log_scale + _log_gauss_mass(lo, hi))
         below = np.concatenate([[0.0], np.cumsum(whole)])
         return (below[k] + np.minimum(np.exp(log_scale[k] + part), whole[k])) / below[-1]
 
     def _quantile(self, u):
-        return _density_quantile(self, u)
+        # u > 1/2 is the quantile of the mirror image -X at 1 - u (exact).  The mass T u of
+        # the total T lies in the first panel k where the running sum reaches it; there
+        # Phi(z) = Phi(lo_k) + (T u - below_k)/scale_k or, past 1/2, Phi(-z) = Phi(-hi_k) +
+        # (below_k+1 - T u)/scale_k: sums of positive terms, in logs
+        from scipy.special import log_ndtr, ndtri_exp
+
+        m, sigma, log_scale, lo, hi, whole = self._panels()
+        x = np.empty(u.shape)
+        for sign in (1.0, -1.0):
+            i = np.flatnonzero(u <= 0.5 if sign > 0 else u > 0.5)
+            if sign < 0:
+                m, lo, hi = -m[::-1], -hi[::-1], -lo[::-1]
+                log_scale, whole = log_scale[::-1], whole[::-1]
+            below = np.concatenate([[0.0], np.cumsum(whole)])
+            mass = (u[i] if sign > 0 else 1.0 - u[i]) * below[-1]
+            k = np.maximum(np.searchsorted(below, mass) - 1, 0)
+            with np.errstate(divide="ignore"):  # at u = 0 or 1, Phi(z) = 0
+                left = np.logaddexp(log_ndtr(lo)[k], np.log(mass - below[k]) - log_scale[k])
+                right = np.logaddexp(log_ndtr(-hi)[k],
+                                     np.log(below[k + 1] - mass) - log_scale[k])
+            up = left > -math.log(2.0)
+            z = ndtri_exp(np.where(up, right, left))
+            x[i] = sign * (m[k] + sigma * np.where(up, -z, z))
+        return x
 
     def _sample(self, rng, n):
-        # the table's ends where rng.uniform gives exactly 0: samples stay finite
-        return _quantile_grid(self, rng.uniform(size=n))[:, None]
+        # rng.uniform gives multiples of 2^-53 in [0, 1): a draw of 0 takes half the
+        # smallest step, so that every sample is finite
+        return self._quantile(np.maximum(rng.uniform(size=n), 2.0**-54))[:, None]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Deterministic numerical kernels.
 
 Bracketed safeguarded Newton, classical RK4 integration (forward or backward in
-time), and the standard normal CDF and its inverse on numpy alone.  Everything here
-is a pure function of its inputs.
+time), Gauss-Legendre rules, and the standard normal CDF and its inverse on numpy
+alone.  Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -71,6 +72,17 @@ def rk4(f, y: np.ndarray, s0: float, s1: float, n: int) -> np.ndarray:
             bad = int(np.argmax(~np.isfinite(y)))
             raise NumericalError(f"ODE state blew up near s={times[k+1]} (point {bad})")
     return y
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], built once per n, read-only."""
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 # ---------------------------------------------------------------------------

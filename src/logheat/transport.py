@@ -22,7 +22,7 @@ import numpy as np
 from . import measures as ms
 from .errors import NumericalError, ValidationError, check_integers
 from .heatflow import _BLOCK, _tilt, marginal_stats_1d, ou_log_derivatives
-from .numerics import ndtri, rk4
+from .numerics import _gauss_legendre, ndtri, rk4
 
 __all__ = [
     "FlowMap",
@@ -225,12 +225,10 @@ def theta_envelope(
         if space_grid.size == 0:
             raise ValidationError("space_grid is empty")
     if time_grid is None:
-        from numpy.polynomial.legendre import leggauss
-
-        nodes, weights = leggauss(48)
+        nodes, weights = _gauss_legendre(48)
         psi = 0.5 * _PSI_MAX * (nodes + 1.0)
         times, sigma = np.array([_ou_time(p) for p in psi]).T
-        weights *= 0.5 * _PSI_MAX * sigma / (1.0 + psi * psi / 9.0)
+        weights = weights * (0.5 * _PSI_MAX * sigma / (1.0 + psi * psi / 9.0))
     else:
         times = np.asarray(time_grid, dtype=float)
         if not (times.ndim == 1 and times.size >= 1 and np.all(np.diff(times) > 0)):

@@ -152,3 +152,54 @@ def quantile_map(cdf, xs):
         above = cdf(mid) >= u
         hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
     return 0.5 * (lo + hi)
+
+
+def _invert(lower, upper, u):
+    """The x with lower mass lower(x) = u for u <= 1/2, or upper mass upper(x) = 1 - u
+    (exact in mpf) above, by bisection to 40 digits from a bracket doubled outwards."""
+    u = mpmath.mpf(float(u))
+    below = (lambda x: lower(x) < u) if u <= 0.5 else (lambda x: upper(x) > 1 - u)
+    lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+    while below(hi):
+        lo, hi = hi, 2 * hi
+    while not below(lo):
+        lo, hi = 2 * lo, lo
+    while hi - lo > mpmath.mpf(10) ** -40 * max(1, abs(lo)):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return (lo + hi) / 2
+
+
+def mixture_quantile(weights, means, variances, u):
+    """(x, p(x)) at the u-quantile x of sum_k w_k N(m_k, v_k) in 1D."""
+    with mpmath.workdps(DPS):
+        total = mpmath.fsum(mpmath.mpf(float(w)) for w in weights)
+        comps = [(mpmath.mpf(float(w)) / total, mpmath.mpf(float(m)),
+                  mpmath.sqrt(mpmath.mpf(float(v)))) for w, m, v in zip(weights, means, variances)]
+        x = _invert(lambda x: mpmath.fsum(w * mpmath.ncdf((x - m) / s) for w, m, s in comps),
+                    lambda x: mpmath.fsum(w * mpmath.ncdf((m - x) / s) for w, m, s in comps), u)
+        return float(x), float(mpmath.fsum(w * mpmath.npdf(x, m, s) for w, m, s in comps))
+
+
+def panel_quantile(args, u):
+    """(x, p(x)) at the u-quantile x of the density prop. to exp(-alpha y^2/2 - V_extra - H)
+    from the make_perturbed arguments ``args``: on a panel, exp(-alpha y^2/2 - a - b y) is
+    exp(b^2/(2 alpha) - a) times the Gaussian of mean -b/alpha and variance 1/alpha."""
+    with mpmath.workdps(DPS):
+        alpha = mpmath.mpf(float(args[0]))
+        sigma, panels = 1 / mpmath.sqrt(alpha), _panels(*args)
+
+        def mass(lo, hi, a, b):  # over [lo, hi], in units of sigma sqrt(2 pi)
+            m = -b / alpha
+            ends = [(e - m) / sigma if mpmath.isfinite(e) else e for e in (lo, hi)]
+            return mpmath.exp(b * b / (2 * alpha) - a) * _gauss_mass(*ends)
+
+        total = mpmath.fsum(mass(*p) for p in panels)
+        x = _invert(lambda x: mpmath.fsum(mass(lo, min(hi, x), a, b)
+                                          for lo, hi, a, b in panels if lo < x) / total,
+                    lambda x: mpmath.fsum(mass(max(lo, x), hi, a, b)
+                                          for lo, hi, a, b in panels if hi > x) / total, u)
+        _, _, a, b = next(p for p in panels if p[0] <= x < p[1])
+        density = mpmath.exp(-alpha * x * x / 2 - a - b * x) / (total * sigma
+                                                                * mpmath.sqrt(2 * mpmath.pi))
+        return float(x), float(density)

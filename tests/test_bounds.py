@@ -1,5 +1,6 @@
 """Closed-form envelopes, constants, and the mixture curvature bounds."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,26 @@ class TestArgumentRange:
     ], ids=lambda v: getattr(v, "__name__", None))
     def test_bad_argument_named(self, fn, args, pattern):
         with pytest.raises(ValidationError, match=f"^{pattern}"):
+            fn(*args)
+
+    @pytest.mark.parametrize("fn, args, names", [
+        (thm2_envelope, (1.0, 1e200, 1.0), "alpha = 1.0, lip = 1e+200, t = 1.0 are"),
+        (log_concavity_time, (1e-300, 1.0), "alpha = 1e-300, lip = 1.0 are"),
+        (log_concavity_time, (1.0, 1e200), "alpha = 1.0, lip = 1e+200 are"),
+        (cor7_envelope, (1.0, 1e200, 1.0), "alpha = 1.0, lip = 1e+200, t = 1.0 are"),
+        (integrated_ou_upper, (1.0, 1e200), "alpha = 1.0, lip = 1e+200 are"),
+        (lsi_transfer, (1e300, 1e10), "C = 1e+300, lip_map = 10000000000.0 are"),
+        (lambda *a: transport_constants(PerturbationParams(*a)), (1.0, 100.0),
+         "alpha = 1.0, lip = 100.0, third_deriv = 0.0 are"),
+        (lambda *a: transport_constants(PerturbationParams(*a)), (1e-300, 1.0),
+         "alpha = 1e-300, lip = 1.0, third_deriv = 0.0 are"),
+    ], ids=["thm2", "t_star-alpha", "t_star-lip", "cor7", "integrated", "lsi", "constants-lip",
+            "constants-alpha"])
+    def test_overflow_named(self, fn, args, names):
+        # finite arguments whose closed form passes the float range: the arithmetic would
+        # raise OverflowError or ZeroDivisionError, or return inf
+        pattern = f"^{re.escape(names)} out of range: .* overflows$"
+        with pytest.raises(ValidationError, match=pattern):
             fn(*args)
 
 

@@ -325,12 +325,19 @@ class TestInvalidArguments:
         ("counterexample --t 1 --target-m inf", "M must be finite"),
         ("counterexample --t inf --target-m 2", "t must be finite"),
         ("counterexample --t 1 --target-m 2 --psi linear --coefficient nan", "psi must be finite"),
+        ("bounds --alpha 1 --lip 100 --t 1",
+         "alpha = 1.0, lip = 100.0, third_deriv = 0.0 are out of range: the thm3 or fms"),
+        ("bounds --alpha 1 --lip 1e200 --t 1",
+         "alpha = 1.0, lip = 1e+200, t = 1.0 are out of range: (lip/c + c^-1/2)^2 / t"),
+        ("bounds --alpha 1e-300 --lip 1 --t 1",
+         "alpha = 1e-300, lip = 1.0 are out of range: (lip/alpha + alpha^-1/2)^2 overflows"),
     ], ids=["scan-points-0", "scan-points-neg", "mixture-points-0", "transport-samples-0",
             "transport-points-1", "decompose-bad-coeff", "bounds-t-inf", "bounds-lip-inf",
             "bounds-t-1e-320", "bounds-t-400", "bounds-radius-inf", "bounds-radius-nan",
             "bounds-radius-neg", "bounds-third-deriv-nan", "decompose-radius-nan",
             "decompose-radius-inf", "decompose-alpha-nan", "decompose-beta-nan",
-            "counterexample-m-inf", "counterexample-t-inf", "counterexample-psi-nan"])
+            "counterexample-m-inf", "counterexample-t-inf", "counterexample-psi-nan",
+            "bounds-lip-100", "bounds-lip-1e200", "bounds-alpha-1e-300"])
     def test_exit_2(self, argv, prefix, tmp_path, capsys, mixture_file):
         # one line on stderr naming the argument, and no report on stdout
         gauss = tmp_path / "gauss.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri as scipy_ndtri
 
 from logheat import (
     AtomicMeasure,
@@ -408,12 +409,15 @@ class TestWasserstein:
         # N(0, 1) as two components (make_gaussian_mixture would merge them)
         # takes the 512-node rule in u on the quantile coupling, whose error
         # pins that path: the closed form gives sqrt(5) to rounding.  The rule
-        # misses int_0^1 Phi^-1(u)^2 du = 1 by 9.25e-6, and the quantile
-        # table of the two-component mixture adds to it
+        # misses int_0^1 Phi^-1(u)^2 du = 1 by 9.25e-6, so W2 reads
+        # sqrt(5) - 2.07e-6; the exact quantiles add nothing to that
         g1 = GaussianMixture(dim=1, weights=np.array([0.5, 0.5]),
                              means=np.array([[0.0], [0.0]]), variances=np.array([1.0, 1.0]))
         gm = make_gaussian_mixture([(1.0, [2.0], 4.0)])
-        assert -2.5e-6 < wasserstein2_1d(g1, gm) - math.sqrt(5.0) < -2.2e-6
+        nodes, weights = np.polynomial.legendre.leggauss(512)
+        rule = math.sqrt(np.sum(0.5 * weights * (2.0 + scipy_ndtri(0.5 * (nodes + 1.0))) ** 2))
+        assert wasserstein2_1d(g1, gm) == pytest.approx(rule, rel=1e-14, abs=0)
+        assert -2.1e-6 < rule - math.sqrt(5.0) < -2.0e-6
 
     def test_unsupported_dim(self):
         g2 = standard_gaussian(2)

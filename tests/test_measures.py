@@ -36,10 +36,12 @@ from logheat import (
     tilted_moments,
 )
 from logheat.heatflow import _tilt, marginal_stats_1d, ou_log_derivatives
-from logheat.measures import _log_gauss_mass, _quantile_grid, _segments, quantile_1d
+from logheat.transport import reverse_sde_sample
+from logheat.measures import _log_gauss_mass, _segments, quantile_1d
 
 from conftest import random_mixture, random_perturbed, random_perturbed_args
-from oracles import log_gauss_mass, mixture_posterior, panel_tilt
+from oracles import (counterexample_weights, finite_tilt, log_gauss_mass, mixture_posterior,
+                     mixture_quantile, panel_quantile, panel_tilt)
 
 
 class TestConstruction:
@@ -539,6 +541,23 @@ class TestDilate:
         np.testing.assert_array_equal(grad, (mean - xs) / v + xs)
         np.testing.assert_array_equal(hess, (cov / v - eye) / v + eye)
 
+    def test_counterexample_ou_against_oracle(self):
+        # the counterexample dilates as atoms do: its OU score and log-Hessian at time t
+        # are those of the atoms at e^-t x_i tilted by N(x, 1 - e^-2t)
+        cex = build_counterexample(lambda x: 0.0, 20)
+        weights, centres = counterexample_weights(lambda x: 0.0, 20)
+        xs, t = np.array([[-3.0], [0.0], [0.7], [5.0], [40.0], [300.0]]), 0.4
+        v = -math.expm1(-2.0 * t)
+        _, grad, hess = ou_log_derivatives(cex, t, xs)
+        _, ms_score, ms_hess = marginal_stats_1d(cex, t, xs[:, 0])
+        for x, g, h, sc, hh in zip(xs, grad, hess, ms_score, ms_hess):
+            _, mean, cov, _ = finite_tilt(weights, centres * math.exp(-t), np.zeros(21), x, v)
+            close = dict(rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose([g[0], sc], (mean - x) / v + [x[0], 0.0], **close)
+            np.testing.assert_allclose([h[0, 0], hh], (cov[0, 0] / v - 1.0) / v + [1.0, 0.0],
+                                       **close)
+        assert np.isfinite(reverse_sde_sample(cex, 50, 5, 1.0)).all()
+
     def test_atoms_may_coincide_after_dilation(self):
         # e^-700 rounds both atoms to 0: the law of cX is one atom at 0, not an error
         atoms = AtomicMeasure(dim=1, weights=[0.5, 0.5], locations=[[1e-300], [2e-300]])
@@ -725,7 +744,44 @@ class TestCdfQuantile:
         pm = make_perturbed(1.0, h_knots=[0.0], h_slopes=[-0.5, 0.5])
         u = np.array([0.1, 0.5, 0.9])
         x = quantile_1d(pm, u)
-        assert np.allclose(cdf_1d(pm, x), u, atol=1e-5)
+        np.testing.assert_allclose(cdf_1d(pm, x), u, rtol=0, atol=4 * np.finfo(float).eps)
+
+
+# kink, Sharp(1, 5) (modes at -5 and 5, p(0) = 7e-7), Mix, a narrow component beside
+# two wide ones, and N(0, 1), as plain data for the oracles
+_PANEL_ARGS = {"kink": (1.0, [], [0.0], [0.0], [-1.0, 1.0]),
+               "sharp-1-5": (1.0, [], [0.0], [0.0], [5.0, -5.0])}
+_MIXTURE_ARGS = {"mix": ([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0]),
+                 "three": ([0.2, 0.5, 0.3], [-5.0, 0.0, 3.0], [0.01, 4.0, 0.5]),
+                 "gauss": ([1.0], [0.0], [1.0])}
+_QUANTILE_U = np.array([1e-300, 1e-30, 1e-12, 1e-6, 0.01, 0.2, 0.3, 0.5, 0.7, 0.93,
+                        1 - 1e-6, 1 - 1e-12, 1 - 2.0**-53])
+
+
+class TestQuantileExact:
+    """quantile_1d against 40-digit quantiles, to the conditioning of the inverse: 1e-13
+    relative, plus u's own rounding 8 eps min(u, 1 - u) moved by 1/p(x)."""
+
+    @staticmethod
+    def _check(measure, reference):
+        x = quantile_1d(measure, _QUANTILE_U)
+        want, density = np.array([reference(u) for u in _QUANTILE_U]).T
+        bound = (1e-13 * np.maximum(1.0, np.abs(want))
+                 + 8 * np.finfo(float).eps * np.minimum(_QUANTILE_U, 1 - _QUANTILE_U) / density)
+        assert np.all(np.abs(x - want) <= bound), np.abs(x - want) / bound
+
+    @pytest.mark.parametrize("name", [*_PANEL_ARGS, "random"])
+    def test_perturbed(self, name, rng):
+        args = _PANEL_ARGS.get(name) or random_perturbed_args(rng)[:5]
+        self._check(make_perturbed(*args), lambda u: panel_quantile(args, u))
+
+    @pytest.mark.parametrize("name", [*_MIXTURE_ARGS, "random"])
+    def test_mixture(self, name, rng):
+        w, m, v = _MIXTURE_ARGS.get(name) or (rng.uniform(0.2, 1.0, 4), rng.uniform(-3, 3, 4),
+                                              rng.uniform(0.3, 2.5, 4))
+        mixture = GaussianMixture(dim=1, weights=np.divide(w, np.sum(w)),
+                                  means=np.reshape(m, (-1, 1)), variances=np.asarray(v, float))
+        self._check(mixture, lambda u: mixture_quantile(w, m, v, u))
 
 
 class TestMoments:
@@ -831,7 +887,7 @@ _MISSING = {
     "mixture": set(),
     "atomic": {"log_density", "score", "log_hessian"},
     "perturbed": {"convolve_gaussian"},
-    "counterexample": {"log_density", "score", "log_hessian", "dilate"},
+    "counterexample": {"log_density", "score", "log_hessian"},
     "bare": set(_CALLS),
 }
 
@@ -864,16 +920,20 @@ class TestProbabilityArguments:
         assert quantile_1d(m, [0.0, 1.0]).tolist() == ends.get(family, [-math.inf, math.inf])
 
     def test_perturbed_sample_of_a_zero_uniform_is_finite(self):
-        # rng.uniform may return exactly 0: the sampler reads the quantile table,
-        # whose end is finite
-        class Zeros:
+        # rng.uniform may return exactly 0, which the sampler takes as half its smallest
+        # step, and at most the largest double below 1: both samples are finite quantiles
+        class Constant:
+            def __init__(self, draw):
+                self.draw = draw
+
             def uniform(self, size):
-                return np.zeros(size)
+                return np.full(size, self.draw)
 
         pm = _FAMILIES["perturbed"]()
-        got = pm._sample(Zeros(), 2)
-        np.testing.assert_array_equal(got, _quantile_grid(pm, np.zeros(2))[:, None])
-        assert np.isfinite(got).all()
+        for draw, u in [(0.0, 2.0**-54), (1 - 2.0**-53, 1 - 2.0**-53)]:
+            got = pm._sample(Constant(draw), 2)
+            np.testing.assert_array_equal(got, quantile_1d(pm, [u, u])[:, None])
+            assert np.isfinite(got).all()
 
 
 class TestKernelLookup:
