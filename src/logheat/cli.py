@@ -10,20 +10,16 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import bounds as bd
 from . import measures as ms
 from .counterexample import build_counterexample, two_atom_analysis, variance_certificate
-from .errors import BracketError, LogheatError, NumericalError, SearchError, ValidationError
+from .errors import LogheatError, NumericalError, ValidationError
 from .heatflow import log_hessian_heat
-from .measures import (
-    GaussianMixture,
-    PerturbedLogConcave1D,
-    _PSI_FUNCTIONS,
-    measure_from_json,
-)
+from .measures import GaussianMixture, PerturbedLogConcave1D, _PSI_FUNCTIONS, measure_from_json
 from .structure import Infeasible, analyze_mixture_1d, lemma4_decompose
 from .transport import (
     _ks_stat,
@@ -52,10 +48,7 @@ def _write_csv(out_dir: str | None, name: str, header: list[str], rows) -> str:
     out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
     return path
 
 
@@ -70,10 +63,10 @@ def _load_measure(path: str):
 
 
 def _measure_params(measure) -> tuple[float, float] | None:
-    """(alpha, lip) of a measure, when derivable."""
+    """(alpha, lip) of a 1D measure, when derivable."""
     if isinstance(measure, PerturbedLogConcave1D):
         return measure.alpha, measure.lip
-    if isinstance(measure, GaussianMixture) and measure.dim == 1:
+    if isinstance(measure, GaussianMixture):
         res = analyze_mixture_1d(measure)
         if isinstance(res, Infeasible):
             return None
@@ -90,8 +83,6 @@ def _scan_grid(measure, lo: float | None, hi: float | None, points: int) -> np.n
     half = 6.0 * math.sqrt(max(var, 1e-12))
     return np.linspace(mean - half if lo is None else lo, mean + half if hi is None else hi,
                        points)
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +115,6 @@ def _cmd_bounds(args):
 
 def _cmd_hessian_scan(args):
     measure = _load_measure(args.measure)
-    if measure.dim != 1:
-        raise ValidationError("hessian-scan supports 1D measures")
     zs = _scan_grid(measure, args.z_min, args.z_max, args.points)
     params = _measure_params(measure)
     upper_env = 1.0 / args.t
@@ -155,7 +144,7 @@ def _cmd_transport(args):
     measure = _load_measure(args.measure)
     flow = build_flow_map(measure, n_points=args.points)
     csv_path = _write_csv(args.out, "flowmap.csv", ["input", "image"],
-                          zip(flow.inputs, flow.images))
+                          np.column_stack([flow.inputs, flow.images]))
     lip_est = empirical_lipschitz(flow)
     push = pushforward_validate(flow, measure, n_samples=args.samples, seed=args.seed)
     theta = theta_envelope(measure)
@@ -166,9 +155,7 @@ def _cmd_transport(args):
         "lipschitz_location": lip_est.location,
         "integral_theta_max": theta.integral_theta_max,
         "exp_integral_theta_max": math.exp(theta.integral_theta_max),
-        "ks_stat": push.ks_stat,
-        "mean_error": push.mean_error,
-        "var_error": push.var_error,
+        **asdict(push),
     }
     params = _measure_params(measure)
     if params is not None and params[0] > 0:
@@ -192,10 +179,7 @@ def _cmd_two_atom(args):
     return {
         "x0": args.x0,
         "t": args.t,
-        "z_bar": rec.z_bar,
-        "curvature_at_z_bar": rec.curvature_at_z_bar,
-        "grid_min_curvature": rec.grid_min_curvature,
-        "argmin_z": rec.argmin_z,
+        **asdict(rec),
         "threshold_t": args.x0 * args.x0 / 4.0,
         "analytic_curvature": (1.0 - args.x0 * args.x0 / (4.0 * args.t)) / args.t,
     }, None
@@ -203,17 +187,15 @@ def _cmd_two_atom(args):
 
 def _cmd_decompose(args):
     if args.measure is not None:
+        given = [flag for flag, kwargs in _LEMMA4 if getattr(args, flag[2:]) != kwargs["default"]]
+        if given:
+            raise ValidationError(f"--measure takes no {', '.join(given)}: they are read "
+                                  "only with --coeffs")
         res = analyze_mixture_1d(_load_measure(args.measure))
         if isinstance(res, Infeasible):
-            return {"feasible": False, "reason": res.reason, "radius_cap": res.radius_cap}, None
-        return {
-            "feasible": True,
-            "alpha": res.alpha,
-            "lip": res.lip,
-            "radius": res.radius,
-            "beta": res.beta,
-            "t_star": bd.log_concavity_time(res.alpha, res.lip),
-        }, None
+            return {"feasible": False, **asdict(res)}, None
+        return {"feasible": True, **asdict(res),
+                "t_star": bd.log_concavity_time(res.alpha, res.lip)}, None
     try:
         coeffs = [float(c) for c in args.coeffs.split(",")]
     except ValueError:
@@ -276,6 +258,12 @@ def _cmd_reverse_sde(args):
 # ---------------------------------------------------------------------------
 
 _MEASURE = ("--measure", {"required": True})
+# Lemma 4's constants, read by decompose with --coeffs only
+_LEMMA4 = [
+    ("--alpha", {"type": float, "default": 1.0}),
+    ("--beta", {"type": float, "default": 0.0}),
+    ("--radius", {"type": float, "default": 0.0}),
+]
 
 # name: (function, report file under --out, help, options); a list of options
 # is a group of which exactly one must be given; every command takes --out
@@ -318,9 +306,7 @@ _COMMANDS = {
     "decompose": (_cmd_decompose, "decompose.json", "convex + Lipschitz potential split", [
         [("--measure", {}),
          ("--coeffs", {"help": "polynomial potential coefficients c0,c1,c2,..."})],
-        ("--alpha", {"type": float, "default": 1.0}),
-        ("--beta", {"type": float, "default": 0.0}),
-        ("--radius", {"type": float, "default": 0.0}),
+        *_LEMMA4,
     ]),
     "mixture": (_cmd_mixture, "mixture.json", "mixture curvature lower-bound scan", [
         _MEASURE,
@@ -371,8 +357,7 @@ def main(argv=None) -> int:
         sys.stdout.write(_json_text(shown))
     except (LogheatError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        numerical = isinstance(exc, (NumericalError, SearchError, BracketError))
-        return _NUMERICAL_EXIT if numerical else _VALIDATION_EXIT
+        return _NUMERICAL_EXIT if isinstance(exc, NumericalError) else _VALIDATION_EXIT
     return 0
 
 

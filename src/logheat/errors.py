@@ -20,10 +20,11 @@ class CapabilityError(LogheatError):
 
 
 class NumericalError(LogheatError):
-    """A numerical routine produced or encountered non-finite values."""
+    """A numerical routine failed: non-finite values, a bracket without a sign
+    change, or a search out of budget; the CLI exits 3 on it."""
 
 
-class BracketError(LogheatError):
+class BracketError(NumericalError):
     """Root bracket does not contain a sign change."""
 
 
@@ -31,7 +32,7 @@ class PreconditionError(LogheatError):
     """A verified hypothesis (e.g. a Hessian lower bound on a grid) fails."""
 
 
-class SearchError(LogheatError):
+class SearchError(NumericalError):
     """A certificate search ran out of bracket or truncation budget."""
 
 

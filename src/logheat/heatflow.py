@@ -16,7 +16,7 @@ import numpy as np
 
 from . import measures as ms
 from .errors import CapabilityError, ValidationError
-from .measures import _points
+from .measures import _points, _time
 from .numerics import _gauss_legendre
 
 __all__ = [
@@ -74,7 +74,7 @@ def tilted_moments(measure, z, t: float) -> TiltedMoments:
     zs, single = _points(measure, z)
     if not single:
         raise ValidationError(f"tilted_moments takes one point, got shape {np.shape(z)}")
-    log_mass, mean, cov = _tilt(measure, zs, t)
+    log_mass, mean, cov = _tilt(measure, zs, _time(t))
     return TiltedMoments(mean=mean[0], covariance=cov[0], mass_log=float(log_mass[0]))
 
 
@@ -85,7 +85,7 @@ def tilted_log_mass(measure, z, t: float):
     ``z`` is one point (a float is returned) or a batch of shape (n, dim).
     """
     zs, single = _points(measure, z)
-    log_mass = _tilt(measure, zs, t)[0]
+    log_mass = _tilt(measure, zs, _time(t))[0]
     return float(log_mass[0]) if single else log_mass
 
 
@@ -96,7 +96,7 @@ def log_hessian_heat(measure, z, t: float) -> np.ndarray:
     (n, dim) gives (n, dim, dim).
     """
     zs, single = _points(measure, z)
-    h = (np.eye(measure.dim) - _tilt(measure, zs, t)[2] / t) / t
+    h = (np.eye(measure.dim) - _tilt(measure, zs, _time(t))[2] / t) / t
     return h[0] if single else h
 
 
@@ -107,7 +107,7 @@ def log_hessian_heat(measure, z, t: float) -> np.ndarray:
 def _ou_tilt(measure, t: float, xs: np.ndarray):
     """OU marginal at time t as (dilated base) * gamma_v with v = 1-e^{-2t}:
     the tilt of the dilated base at xs, and v."""
-    v = -math.expm1(-2.0 * t)
+    v = -math.expm1(-2.0 * _time(t))
     return _tilt(ms.dilate(measure, math.exp(-t)), xs, v), v
 
 

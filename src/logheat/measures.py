@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -166,6 +166,14 @@ def _points(measure, x) -> tuple[np.ndarray, bool]:
     if not np.isfinite(zs).all():
         raise ValidationError("points must be finite")
     return zs, single
+
+
+def _time(t):
+    """t of a public semigroup call, which must be one number: one time per row is for the
+    private ``heatflow._tilt`` alone."""
+    if not (isinstance(t, float) or np.ndim(t) == 0):
+        raise ValidationError(f"t must be one number, got an array of shape {np.shape(t)}")
+    return t
 
 
 def _two_sum(a, b):
@@ -499,7 +507,7 @@ class PerturbedLogConcave1D:
     panel_edges: np.ndarray  # (P + 1,)
     panel_a: np.ndarray      # (P,)
     panel_b: np.ndarray      # (P,)
-    dim: int = 1
+    dim: ClassVar[int] = 1
     log_normalizer: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -631,7 +639,7 @@ class CounterexampleMeasure(_Finite):
     psi_values: np.ndarray = field(init=False, repr=False)
     tail_bound: float = field(init=False)
     exp_psi_moment: float = field(init=False)
-    dim: int = 1
+    dim: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         n = self.truncation
@@ -801,7 +809,7 @@ def convolve_gaussian(measure: Measure, t: float) -> GaussianMixture:
     """Heat semigroup at time t: mu -> mu * gamma_t, a mixture of variances s + t, for the
     finite families (mixtures, atoms and the counterexample), with the parent's log-weights;
     ``heatflow.tilted_log_mass`` gives its log-density for every family."""
-    if not 0 < t < math.inf:
+    if not 0 < _time(t) < math.inf:
         raise ValidationError(f"need 0 < t < inf, got t={t!r}")
     return _kernel(measure, "_convolve")(t)
 
@@ -897,9 +905,7 @@ def measure_from_json(obj: dict):
             if name not in _PSI_FUNCTIONS:
                 raise ValidationError(f"unknown psi '{name}'")
             psi = _PSI_FUNCTIONS[name](float(obj.get("coefficient", 1.0)))
-            from .counterexample import build_counterexample
-
-            return build_counterexample(psi, truncation=int(obj.get("truncation", 60)))
+            return CounterexampleMeasure(psi=psi, truncation=int(obj.get("truncation", 60)))
     except KeyError as exc:
         raise ValidationError(f"{kind!r} measure JSON needs the field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

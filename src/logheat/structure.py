@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import mixture_hessian_lower
-from .errors import NumericalError, PreconditionError, ValidationError, check_finite
+from .errors import DomainError, NumericalError, PreconditionError, ValidationError, check_finite
 from .measures import GaussianMixture, _kernel
 
 __all__ = [
@@ -76,7 +76,7 @@ def lemma4_decompose(
     radius: float,
     grid_halfwidth: float = 10.0,
 ) -> Decomposition:
-    """Split U into an alpha-convex part V and a Lipschitz part H.
+    """Split U into an alpha-convex part V (alpha > 0) and a Lipschitz part H.
 
     The hypotheses U'' >= alpha for |x| >= radius and U'' >= -beta for
     |x| < radius are verified by central differences on a grid of step 0.02 over
@@ -84,6 +84,8 @@ def lemma4_decompose(
     raises PreconditionError naming the point, a non-finite U NumericalError.
     """
     check_finite(alpha=alpha, beta=beta, radius=radius, grid_halfwidth=grid_halfwidth)
+    if not alpha > 0:  # V must be alpha-strongly convex
+        raise DomainError("alpha must be positive")
     if beta < 0 or radius < 0:
         raise ValidationError("beta and radius must be nonnegative")
     half = radius + grid_halfwidth

@@ -236,7 +236,9 @@ def theta_envelope(
                                   f"array, got shape {times.shape}")
 
     # mu_t(x) = e^t (mu * gamma_tau)(e^t x), tau = e^{2t} - 1, so theta = (Var_tau(e^t x)
-    # / tau - 1) / (1 - e^{-2t}) + 1; one _tilt call per block of whole time rows
+    # / tau - 1) / (1 - e^{-2t}) + 1; one _tilt call per block of whole time rows.  On a
+    # 200 x 401 grid (2-CPU host), one call for the whole grid raised a process's peak RSS
+    # from 61 to 65.6 MB, and one call per time ran 3.5x slower on a mixture, 1.4x on a kink
     xs = ms._points(measure, space_grid[:, None])[0][:, 0]
     with np.errstate(over="ignore"):
         tau, v, scale = np.expm1(2.0 * times), -np.expm1(-2.0 * times), np.exp(times)

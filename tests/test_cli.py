@@ -9,7 +9,15 @@ import sys
 import numpy as np
 import pytest
 
-from logheat import build_counterexample, variance_certificate
+from logheat import (
+    BracketError,
+    Infeasible,
+    NumericalError,
+    SearchError,
+    build_counterexample,
+    variance_certificate,
+)
+from logheat import cli
 from logheat.cli import _build_parser, main
 
 
@@ -101,6 +109,21 @@ class TestHessianScan:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["hessian-scan", "--measure", "/no/such.json", "--t", "1"]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"type": "atomic", "atoms": [[0.3, [0.0]], [0.7, [2.0]]]},
+        {"type": "counterexample", "psi": "linear", "truncation": 20},
+    ], ids=["atomic", "counterexample"])
+    def test_no_envelope_parameters(self, tmp_path, capsys, doc):
+        # a measure without (alpha, lip) is scanned against the bounds 1/t and -inf
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(["hessian-scan", "--measure", str(path), "--t", "0.5", "--points", "5",
+                     "--out", str(tmp_path)]) == 0
+        rep = read_json(tmp_path, "hessian_scan.json")
+        assert rep["lower_envelope"] == -math.inf and rep["upper_envelope"] == 2.0
+        arr = np.loadtxt(rep["csv"], delimiter=",", skiprows=1)
+        assert arr.shape == (5, 7) and np.all(arr[:, 2] <= 2.0)
 
 
     def test_nan_weight_exit_2(self, tmp_path, capsys):
@@ -205,6 +228,18 @@ class TestTwoAtom:
         assert main(["two-atom", *argv]) == 2
         assert capsys.readouterr().err.startswith(prefix)
 
+    @pytest.mark.parametrize("error", [NumericalError, BracketError, SearchError])
+    def test_numerical_error_class_exit_3(self, monkeypatch, capsys, error):
+        # the error class alone sets the exit code
+        assert issubclass(error, NumericalError)
+
+        def fail(*args):
+            raise error("no root")
+
+        monkeypatch.setattr(cli, "two_atom_analysis", fail)
+        assert main(["two-atom", "--x0", "2", "--t", "1"]) == 3
+        assert capsys.readouterr().err == "error: no root\n"
+
 
 class TestDecompose:
     def test_polynomial(self, tmp_path, capsys):
@@ -233,6 +268,13 @@ class TestDecompose:
             main(["decompose", "--measure", mixture_file, "--coeffs", "0,0,1"])
         assert exc.value.code == 64
         assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_infeasible_report(self, monkeypatch, tmp_path, capsys, mixture_file):
+        monkeypatch.setattr(cli, "analyze_mixture_1d",
+                            lambda m: Infeasible(reason="no radius", radius_cap=7.5))
+        assert main(["decompose", "--measure", mixture_file, "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path, "decompose.json") == {
+            "command": "decompose", "feasible": False, "reason": "no radius", "radius_cap": 7.5}
 
     def test_precondition_exit_2(self, capsys):
         # U = -x^2 violates convexity outside every radius
@@ -267,10 +309,12 @@ class TestNonMixtureInputs:
         ("decompose", "perturbed_file", "PerturbedLogConcave1D has no posterior kernel"),
         ("decompose", "atomic_file", "AtomicMeasure has no posterior kernel"),
         ("decompose", "mixture2d_file", "mixture must be 1D, got dim 2"),
+        ("hessian-scan --t 1", "mixture2d_file",
+         "GaussianMixture has dim 2; this kernel is 1D only"),
     ])
     def test_exit_2(self, request, tmp_path, capsys, cmd, fixture, message):
         path = request.getfixturevalue(fixture)
-        assert main([cmd, "--measure", path, "--out", str(tmp_path / "out")]) == 2
+        assert main([*cmd.split(), "--measure", path, "--out", str(tmp_path / "out")]) == 2
         out = capsys.readouterr()
         assert out.err == f"error: {message}\n"
         assert out.out == "" and not (tmp_path / "out").exists()
@@ -331,13 +375,22 @@ class TestInvalidArguments:
          "alpha = 1.0, lip = 1e+200, t = 1.0 are out of range: (lip/c + c^-1/2)^2 / t"),
         ("bounds --alpha 1e-300 --lip 1 --t 1",
          "alpha = 1e-300, lip = 1.0 are out of range: (lip/alpha + alpha^-1/2)^2 overflows"),
+        ("decompose --coeffs 0,0,1 --alpha -5 --beta 1 --radius 1", "alpha must be positive"),
+        ("decompose --coeffs 0,0,1 --alpha 0", "alpha must be positive"),
+        ("decompose --measure {mix} --alpha 5", "--measure takes no --alpha: they are read"),
+        ("decompose --measure {mix} --beta 3", "--measure takes no --beta: they are read"),
+        ("decompose --measure {mix} --radius 9", "--measure takes no --radius: they are read"),
+        ("decompose --measure {mix} --alpha 5 --beta 3 --radius 9",
+         "--measure takes no --alpha, --beta, --radius: they are read only with --coeffs"),
     ], ids=["scan-points-0", "scan-points-neg", "mixture-points-0", "transport-samples-0",
             "transport-points-1", "decompose-bad-coeff", "bounds-t-inf", "bounds-lip-inf",
             "bounds-t-1e-320", "bounds-t-400", "bounds-radius-inf", "bounds-radius-nan",
             "bounds-radius-neg", "bounds-third-deriv-nan", "decompose-radius-nan",
             "decompose-radius-inf", "decompose-alpha-nan", "decompose-beta-nan",
             "counterexample-m-inf", "counterexample-t-inf", "counterexample-psi-nan",
-            "bounds-lip-100", "bounds-lip-1e200", "bounds-alpha-1e-300"])
+            "bounds-lip-100", "bounds-lip-1e200", "bounds-alpha-1e-300", "decompose-alpha-neg",
+            "decompose-alpha-0", "decompose-measure-alpha", "decompose-measure-beta",
+            "decompose-measure-radius", "decompose-measure-all"])
     def test_exit_2(self, argv, prefix, tmp_path, capsys, mixture_file):
         # one line on stderr naming the argument, and no report on stdout
         gauss = tmp_path / "gauss.json"

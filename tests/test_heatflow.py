@@ -26,6 +26,7 @@ from logheat import (
     score,
     standard_gaussian,
     theta_envelope,
+    tilted_log_mass,
     tilted_moments,
     wasserstein2_1d,
 )
@@ -326,6 +327,33 @@ class TestTiltValidation:
         for zs in (np.zeros((1, 1)), np.zeros((3, 1))):
             with pytest.raises(ValidationError, match="one point"):
                 tilted_moments(standard_gaussian(1), zs, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda m, t: log_hessian_heat(m, np.zeros((3, 1)), t),
+        lambda m, t: tilted_log_mass(m, np.zeros((3, 1)), t),
+        lambda m, t: tilted_moments(m, [0.0], t),
+        lambda m, t: ou_log_derivatives(m, t, np.zeros((3, 1))),
+        lambda m, t: marginal_stats_1d(m, t, np.zeros(3)),
+        lambda m, t: convolve_gaussian(m, t),
+    ], ids=["log_hessian_heat", "tilted_log_mass", "tilted_moments", "ou_log_derivatives",
+            "marginal_stats_1d", "convolve_gaussian"])
+    def test_one_t_per_call(self, call):
+        # a time per row is private to _tilt: an array t is an error naming t, and
+        # a 0-d array or numpy scalar is the number it holds
+        mix = make_gaussian_mixture([(0.5, [-2.0], 1.0), (0.5, [2.0], 1.0)])
+        for t in (np.array([0.5, 1.0, 2.0]), [0.5, 1.0, 2.0], np.array([0.5]), [[0.5]]):
+            with pytest.raises(ValidationError,
+                               match=r"^t must be one number, got an array of shape \("):
+                call(mix, t)
+
+        def arrays(out):
+            out = out if isinstance(out, tuple) else (out,)
+            return [getattr(x, "covariance", getattr(x, "variances", x)) for x in out]
+
+        want = arrays(call(mix, 0.5))
+        for t in (np.asarray(0.5), np.float32(0.5)):
+            for got, w in zip(arrays(call(mix, t)), want):
+                np.testing.assert_array_equal(got, w)
 
 
 class TestBatchedOu:

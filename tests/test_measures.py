@@ -1,4 +1,5 @@
 """Measure construction, densities, convolution, sampling, CDFs."""
+import dataclasses
 import math
 import re
 import warnings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from logheat import (
     AtomicMeasure,
     CapabilityError,
+    CounterexampleMeasure,
     analyze_mixture_1d,
     GaussianMixture,
     NumericalError,
@@ -125,6 +127,17 @@ class TestConstruction:
         with pytest.raises(ValidationError, match=re.escape(message)):
             PerturbedLogConcave1D(**{**good, **fields})
 
+
+    def test_one_d_families_have_no_dim_field(self):
+        # the type is the dimension: dim=2 does not build a density that reads only x_0
+        kink = {"alpha": 1.0, "lip": 1.0, "panel_edges": [-math.inf, 0.0, math.inf],
+                "panel_a": [0.0, 0.0], "panel_b": [1.0, -1.0]}
+        cex = {"psi": lambda x: 0.0, "truncation": 10}
+        for cls, fields in ((PerturbedLogConcave1D, kink), (CounterexampleMeasure, cex)):
+            assert cls(**fields).dim == 1
+            assert "dim" not in {f.name for f in dataclasses.fields(cls)}
+            with pytest.raises(TypeError, match="dim"):
+                cls(**fields, dim=2)
 
     @pytest.mark.parametrize("field, value", [
         ("weights", [math.nan, 0.5]), ("weights", [math.inf, 0.5]),

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logheat import (
+    DomainError,
     Infeasible,
     MixtureAnalysis,
     NumericalError,
@@ -130,6 +131,12 @@ class TestLemma4Decompose:
         args = {"alpha": 1.0, "beta": 0.0, "radius": 1.0, name: value}
         with pytest.raises(ValidationError, match=f"^{name} must be finite"):
             lemma4_decompose(lambda x: x * x, **args)
+
+    @pytest.mark.parametrize("alpha", [-5.0, 0.0, -0.0, -1e-300])
+    def test_alpha_must_be_positive(self, alpha):
+        # V must be alpha-strongly convex; alpha <= 0 gave a negative lip_cert
+        with pytest.raises(DomainError, match="^alpha must be positive$"):
+            lemma4_decompose(lambda x: x * x, alpha=alpha, beta=1.0, radius=1.0)
 
     def test_precondition_violation_names_x(self):
         # U'' = -2 everywhere violates alpha = 1 outside any radius
